@@ -39,7 +39,7 @@ def _as_dims(dims) -> BipartiteDims:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated bipartite density matrix: Hermitian, unit trace, positive semidefinite."""
+    """Validated bipartite density matrix: finite, Hermitian, unit trace, positive semidefinite."""
 
     mat: np.ndarray
     dims: BipartiteDims
@@ -55,6 +55,8 @@ class DensityMatrix:
             raise MalformedInputError(
                 f"matrix shape {mat.shape} does not match dims {self.dims.dA}x{self.dims.dB} (need {d}x{d})"
             )
+        if not np.isfinite(mat).all():
+            raise MalformedInputError("matrix has non-finite (NaN or infinite) entries")
         herm_err = np.abs(mat - mat.conj().T).max()
         if herm_err > tol.herm:
             raise MalformedInputError(f"matrix is not Hermitian: max |m - m^dag| = {herm_err:.3e}")

@@ -146,6 +146,14 @@ class TestStateFiles:
         with pytest.raises(MalformedInputError, match="cannot read state file"):
             read_state_file(str(tmp_path / "absent.json"))
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "dims,offdiagonal", [((1, 1), False), ((1, 2), False), ((1, 2), True), ((2, 2), False), ((2, 2), True)]
+    )
+    def test_non_finite_entries_rejected(self, literal, dims, offdiagonal):
+        with pytest.raises(MalformedInputError, match="non-finite"):
+            parse_state_text(_non_finite_text(literal, dims, offdiagonal))
+
 
 class TestReport:
     def test_round_trip(self):
@@ -162,6 +170,16 @@ class TestReport:
     def test_missing_key(self):
         with pytest.raises(MalformedInputError, match="missing the 'kind' field"):
             Report.from_json('{"version": "0"}')
+
+
+def _non_finite_text(literal: str, dims, offdiagonal: bool) -> str:
+    """State file text of the maximally mixed state with one entry (and its
+    mirror) replaced by a bare JSON literal such as NaN, which json.loads accepts."""
+    d = dims[0] * dims[1]
+    rows = [[[1 / d if i == j else 0, 0] for j in range(d)] for i in range(d)]
+    i, j = (0, 1) if offdiagonal else (0, 0)
+    rows[i][j][0] = rows[j][i][0] = "BAD"
+    return json.dumps({"dims": list(dims), "matrix": rows}).replace('"BAD"', literal)
 
 
 def _write_state(tmp_path, name, builder) -> str:
@@ -262,11 +280,19 @@ class TestCliCompute:
         assert main(["compute", "--in", str(tmp_path / "nope.json")]) == 2
         assert "cannot read state file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("dims,offdiagonal", [((1, 1), False), ((1, 2), True), ((2, 2), False), ((2, 2), True)])
+    def test_non_finite_file_exits_2(self, tmp_path, capsys, literal, dims, offdiagonal):
+        path = tmp_path / "bad.json"
+        path.write_text(_non_finite_text(literal, dims, offdiagonal))
+        assert main(["compute", "--in", str(path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_partition_guard_exits_3(self, tmp_path, capsys):
         path = _write_state(tmp_path, "big", random_density((5, 5), seed=3))
         assert main(["compute", "--in", path, "--which", "G"]) == 3
         err = capsys.readouterr().err
-        count = math.factorial(25) // math.factorial(5) ** 5
+        count = math.factorial(25) // (math.factorial(5) ** 5 * math.factorial(5))
         assert str(count) in err
         assert "guard limit 16" in err
 

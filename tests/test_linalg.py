@@ -70,6 +70,18 @@ class TestDensityMatrix:
         with pytest.raises(MalformedInputError, match="not positive semidefinite"):
             DensityMatrix(mat, (2, 2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite(self, bad, where):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[where] = bad
+        mat[where[::-1]] = bad
+        with pytest.raises(MalformedInputError, match="non-finite"):
+            DensityMatrix(mat, (2, 2))
+        # a 1x1 state with a NaN entry used to pass every check
+        with pytest.raises(MalformedInputError, match="non-finite"):
+            DensityMatrix([[bad]], (1, 1))
+
 
 class TestPartialTrace:
     def test_traces_to_reduced_of_kron(self):

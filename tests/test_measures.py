@@ -1,5 +1,7 @@
 """Truncation measure, partition measure, and the scalar helpers under them."""
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +10,16 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
+from ncorr import measures
 from ncorr import (
     BipartiteDims,
     CapabilityError,
     Collection,
     DensityMatrix,
     DomainError,
+    StateSpec,
     bell,
+    build,
     collection_discrepancy,
     decompose,
     entropy_of_entanglement,
@@ -256,19 +261,108 @@ class TestPartitionMeasure:
             assert partition_discrepancy(rho, side) == pytest.approx(want, abs=1e-10)
 
     def test_guard_limit_names_the_count(self):
-        rho = random_density((5, 5), seed=0)
-        expected_count = math.factorial(25) // math.factorial(5) ** 5
-        with pytest.raises(CapabilityError) as err:
-            partition_discrepancy(rho, "A")
-        msg = str(err.value)
-        assert "(d^A d^B)!/(d^B!)^(d^A)" in msg
-        assert str(expected_count) in msg
-        assert "guard limit 16" in msg
+        rho = random_density((3, 6), seed=0)
+        for side, formula, n_groups, group_size in (
+            ("A", "(d^A d^B)!/((d^B!)^(d^A) d^A!)", 3, 6),
+            ("B", "(d^A d^B)!/((d^A!)^(d^B) d^B!)", 6, 3),
+        ):
+            expected_count = math.factorial(18) // (math.factorial(group_size) ** n_groups * math.factorial(n_groups))
+            with pytest.raises(CapabilityError) as err:
+                partition_discrepancy(rho, side)
+            msg = str(err.value)
+            assert formula in msg
+            assert f"here {expected_count}" in msg
+            assert "guard limit 16" in msg
 
     def test_guard_limit_is_adjustable(self):
         rho = random_density((2, 2), seed=1)
         with pytest.raises(CapabilityError):
             partition_discrepancy(rho, "A", max_dim=2)
+
+
+def _spectra(kind, dims, seed):
+    """Global and both reduced spectra of a test state of the given kind."""
+    if kind == "random":
+        rho = random_density(dims, seed=seed)
+    elif kind == "classical":
+        rho = random_classical(dims, seed=seed).state
+    else:  # rank-deficient: zeros in the global spectrum
+        rho = random_density(dims, rank=max(1, dims[0] * dims[1] // 3), seed=seed)
+    reduced = (np.linalg.eigvalsh(partial_trace(rho.mat, rho.dims, side)) for side in "AB")
+    return (np.linalg.eigvalsh(rho.mat), *reduced)
+
+
+CROSS_CHECK_DIMS = [(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (2, 5), (5, 2), (3, 3), (2, 6), (6, 2), (3, 4), (4, 3)]
+
+
+class TestSearchMatchesEnumerator:
+    """The vectorized G search against the per-grouping enumerator it
+    replaced (oracles.enumerated_partition_minimum), compared with ==."""
+
+    @pytest.mark.parametrize("kind", ["random", "classical", "rank_deficient"])
+    @pytest.mark.parametrize("dims", CROSS_CHECK_DIMS, ids=lambda d: f"{d[0]}x{d[1]}")
+    def test_states(self, dims, kind):
+        for seed in range(1 if dims[0] * dims[1] == 12 else 3):
+            glob, reduced_a, reduced_b = _spectra(kind, dims, seed)
+            for genuine, n_groups, group_size in ((reduced_a, dims[0], dims[1]), (reduced_b, dims[1], dims[0])):
+                want = oracles.enumerated_partition_minimum(glob, genuine, n_groups, group_size)
+                assert mimic_discrepancy(glob, genuine, n_groups, group_size) == want
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_block_size_leaves_result_unchanged(self, monkeypatch, block):
+        """Small blocks split both the anchors and the remainder rows."""
+        monkeypatch.setattr(measures, "_BLOCK", block)
+        for dims in ((2, 4), (4, 2), (3, 3)):
+            glob, reduced_a, reduced_b = _spectra("rank_deficient", dims, 0)
+            for genuine, n_groups, group_size in ((reduced_a, dims[0], dims[1]), (reduced_b, dims[1], dims[0])):
+                want = oracles.enumerated_partition_minimum(glob, genuine, n_groups, group_size)
+                assert mimic_discrepancy(glob, genuine, n_groups, group_size) == want
+
+    @pytest.mark.parametrize(
+        "glob,genuine,n_groups,group_size",
+        [
+            ([0.25] * 4 + [0.0] * 8, [0.25] * 4, 4, 3),
+            ([0.25] * 4 + [0.0] * 8, [1 / 3] * 3, 3, 4),
+            ([1 / 12] * 12, [0.5, 0.5], 2, 6),
+            ([1 / 3] * 3 + [0.0] * 6, [1 / 3] * 3, 3, 3),
+            ([0.1] * 5 + [0.25] * 2, [0.2] * 5 + [0.0] * 2, 7, 1),
+            ([0.2] * 3 + [0.1] * 4, [1.0], 1, 7),
+            ([0.5, 0.5, 0.0, 0.0, -1e-17, 1e-17], [0.5, 0.5, 0.0], 3, 2),
+            ([0.4, 0.1, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05], [0.5, 0.3, 0.1, 0.1], 4, 2),
+            # Rational spectra whose groupings tie up to rounding, where the
+            # numpy screen ranks groupings differently from math.fsum: a
+            # search without the error margin misses the exact minimum.
+            ([0, 0.2, 0.16, 0.08, 0, 0.16, 0.2, 0.16, 0.04], [0.4, 0.28, 0.32], 3, 3),
+            (
+                [w / 30 for w in (1, 5, 2, 3, 0, 3, 2, 4, 1, 4, 5, 0)],
+                [float.fromhex(h) for h in ("0x1.9999999999999p-3", "0x1.3333333333333p-2", "0x1.5555555555556p-2", "0x1.5555555555556p-3")],
+                4,
+                3,
+            ),
+            (
+                [w / 25 for w in (1, 0, 0, 4, 4, 5, 2, 5, 3, 1)],
+                [0.2, 0.2, 0.2, 0.16, float.fromhex("0x1.eb851eb851eb9p-3")],
+                5,
+                2,
+            ),
+        ],
+    )
+    def test_degenerate_spectra(self, glob, genuine, n_groups, group_size):
+        want = oracles.enumerated_partition_minimum(glob, genuine, n_groups, group_size)
+        assert mimic_discrepancy(glob, genuine, n_groups, group_size) == want
+
+    @pytest.mark.parametrize("name", ["zeta", "zeta_prime", "xi", "xi_prime"])
+    def test_catalog_4x4(self, name):
+        """G of the 4x4 catalog states, recorded from the enumerator (about
+        80 s a side) before it left the library, with the spectra it
+        searched: eigh's last bits vary across LAPACK builds."""
+        rec = json.loads((Path(__file__).parent / "data" / "partition_4x4.json").read_text())[name]
+        rho = build(StateSpec(name, {}))
+        spectra = {key: [float.fromhex(h) for h in rec[key]] for key in ("global", "reduced_a", "reduced_b")}
+        assert_allclose(np.linalg.eigvalsh(rho.mat), spectra["global"], atol=1e-12)
+        for side, key, want in (("A", "reduced_a", rec["g_a"]), ("B", "reduced_b", rec["g_b"])):
+            assert_allclose(np.linalg.eigvalsh(partial_trace(rho.mat, rho.dims, side)), spectra[key], atol=1e-12)
+            assert mimic_discrepancy(spectra["global"], spectra[key], 4, 4) == float.fromhex(want)
 
 
 class TestEntropyHelpers:
