@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .linalg import DensityMatrix, hermitian_eig, kron, partial_trace
-from .measures import ppt_min_eigenvalue, schmidt_decomposition, truncation_measure
+from .measures import _truncation_values, ppt_min_eigenvalue, schmidt_decomposition
 from .states import projector
 
 CLASSICAL = "CLASSICAL"
@@ -318,7 +318,7 @@ def classify(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> Detect
     fell, so the trail never hides a later test's result.
     """
     outcomes = [d(rho, tol) for d in _DETECTORS]
-    m = truncation_measure(rho, tol).value
+    m = _truncation_values(rho, tol)[0]  # M alone: the witness reads no entropy or PPT
     outcomes.append(
         TestOutcome(
             "measure-witness",

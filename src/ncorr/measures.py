@@ -145,8 +145,11 @@ class MeasureReport:
     partition_side_b: float | None = None
 
 
-def truncation_measure(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> MeasureReport:
-    """Truncation measure of a state: mean of the two one-sided values."""
+def _truncation_values(
+    rho: DensityMatrix, tol: Tolerances
+) -> tuple[float, float, float, tuple[ComponentContribution, ...]]:
+    """M, M_A, M_B and the per-component contributions: the fields of
+    MeasureReport that need the truncated components, and nothing else."""
     components = decompose(rho, tol)
     total_a, contribs_a = truncation_measure_side(components, "A", tol)
     total_b, contribs_b = truncation_measure_side(components, "B", tol)
@@ -154,8 +157,14 @@ def truncation_measure(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES)
         ComponentContribution(c.eta, c.multiplicity, ca, cb)
         for c, ca, cb in zip(components, contribs_a, contribs_b)
     )
+    return (total_a + total_b) / 2, total_a, total_b, per_component
+
+
+def truncation_measure(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> MeasureReport:
+    """Truncation measure of a state: mean of the two one-sided values."""
+    value, total_a, total_b, per_component = _truncation_values(rho, tol)
     return MeasureReport(
-        value=(total_a + total_b) / 2,
+        value=value,
         side_a=total_a,
         side_b=total_b,
         per_component=per_component,
@@ -231,8 +240,13 @@ def mimic_discrepancy(
         )
     if len(genuine_spectrum) != n_groups:
         raise DomainError(f"expected {n_groups} genuine eigenvalues, got {len(genuine_spectrum)}")
-    evals = np.maximum(np.asarray(global_spectrum, dtype=float), 0.0)
-    genuine_term = math.fsum(_xlog2x(e) for e in sorted(max(float(g), 0.0) for g in genuine_spectrum))
+    evals = np.asarray(global_spectrum, dtype=float)
+    genuine = np.asarray(genuine_spectrum, dtype=float)
+    # _xlog2x(nan) is 0, so a NaN would otherwise score as a zero eigenvalue.
+    if not (np.isfinite(evals).all() and np.isfinite(genuine).all()):
+        raise DomainError("spectra must be finite (no NaN or infinite entries)")
+    evals = np.maximum(evals, 0.0)
+    genuine_term = math.fsum(_xlog2x(e) for e in sorted(max(float(g), 0.0) for g in genuine))
     # Each row of the gather is summed by the same numpy sum, bit for bit, as the group alone.
     terms = [_xlog2x(float(group.sum())) for group in evals[_subsets(len(evals), group_size)]]
     # numpy's sum of n_groups terms errs by at most (n_groups - 1) * u * sum|term|

@@ -4,7 +4,9 @@ A truncated component of a state keeps one eigenvalue's eigenspace and scales
 its projector by the eigenvalue itself: eta * sum_k |v_k><v_k| over the
 eigenspace basis. The component's reduced spectra on each side drive the
 truncation measure; for states with a product eigenbasis every such reduced
-eigenvalue is an integer multiple of eta.
+eigenvalue is an integer multiple of eta. The reduced matrices are summed
+from slices of the reshaped eigenvectors, so the d x d projector is never
+formed and a decomposition holds O(d^2) numbers, not O(d^3).
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import MalformedInputError
-from .linalg import DensityMatrix, hermitian_eig, partial_trace
+from .linalg import DensityMatrix, _as_dims, hermitian_eig
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,16 +42,16 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class TruncatedComponent:
-    """eta-scaled eigenspace projector with its nonzero reduced spectra.
+    """Nonzero reduced spectra of one eta-scaled eigenspace projector.
 
-    spectrum_a and spectrum_b hold the eigenvalues of tr_B(matrix) and
-    tr_A(matrix) above the rank cutoff, descending. trace(matrix) equals
-    eta * multiplicity, so each spectrum sums to that quota.
+    With P = eta * V V^dag over the eigenspace basis V, spectrum_a and
+    spectrum_b hold the eigenvalues of tr_B(P) and tr_A(P) above the rank
+    cutoff, descending. trace(P) equals eta * multiplicity, so each spectrum
+    sums to that quota. P itself is not kept.
     """
 
     eta: float
     multiplicity: int
-    matrix: np.ndarray
     spectrum_a: np.ndarray
     spectrum_b: np.ndarray
 
@@ -84,17 +86,27 @@ def cluster_spectrum(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -
 def truncated_component(
     cluster: EigenCluster, dims, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> TruncatedComponent:
-    """Build eta * (eigenspace projector) and its nonzero reduced spectra."""
+    """Nonzero reduced spectra of eta * (eigenspace projector).
+
+    With t = vectors reshaped to (dA, dB, m), tr_B(eta V V^dag) is the sum over
+    b of eta * t[:, b] t[:, b]^dag and tr_A the sum over a of eta * t[a] t[a]^dag:
+    one dA x dA or dB x dB product per slice, never a d x d matrix.
+    """
+    dims = _as_dims(dims)
     v = cluster.vectors
-    matrix = cluster.eta * (v @ v.conj().T)
+    if v.shape[0] != dims.total:
+        raise MalformedInputError(f"eigenvector length {v.shape[0]} does not match dims {dims.dA}x{dims.dB}")
+    t = v.reshape(dims.dA, dims.dB, cluster.multiplicity)
     spectra = []
-    for keep in ("A", "B"):
-        w = hermitian_eig(partial_trace(matrix, dims, keep), tol).values
+    for s in (t.transpose(1, 0, 2), t):
+        # accumulate adds the slices in order, as the dense partial trace did;
+        # sum(axis=0) would add a stack of 1 x 1 slices pairwise instead.
+        reduced = np.add.accumulate(cluster.eta * (s @ s.conj().transpose(0, 2, 1)))[-1]
+        w = hermitian_eig(reduced, tol).values
         spectra.append(np.sort(w[w > tol.rank])[::-1])
     return TruncatedComponent(
         eta=cluster.eta,
         multiplicity=cluster.multiplicity,
-        matrix=matrix,
         spectrum_a=spectra[0],
         spectrum_b=spectra[1],
     )

@@ -242,3 +242,23 @@ def enumerated_partition_minimum(global_spectrum, genuine_spectrum, n_groups, gr
         mimicked = math.fsum(_xlog2x(float(evals[list(g)].sum())) for g in partition)
         best = min(best, abs(mimicked - genuine_term))
     return best
+
+
+def dense_component_spectra(cluster, dims, tol):
+    """The library's reduced spectra of one truncated component before they
+    came from eigenvector slices, kept as their reference: the dense d x d
+    matrix eta * V V^dag, both partial traces, eigh, the rank cutoff and a
+    descending sort. Holds d^2 numbers per component, so a full-rank state
+    costs O(d^3) memory. Returns (spectrum_a, spectrum_b).
+
+    The library must equal it bit for bit on rank-one eigenspaces and on the
+    catalog. A generic eigenspace of multiplicity m > 1 sums m products per
+    matrix entry, in an order the BLAS picks per matrix shape, so there the
+    two agree to a few ulps."""
+    v = cluster.vectors
+    r = (cluster.eta * (v @ v.conj().T)).reshape(dims.dA, dims.dB, dims.dA, dims.dB)
+    spectra = []
+    for reduced in (np.einsum("abcb->ac", r), np.einsum("abad->bd", r)):
+        w = np.linalg.eigh(reduced)[0]
+        spectra.append(np.sort(w[w > tol.rank])[::-1])
+    return tuple(spectra)

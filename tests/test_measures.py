@@ -226,6 +226,16 @@ class TestPartitionMeasure:
         with pytest.raises(DomainError, match="genuine eigenvalues"):
             mimic_discrepancy([0.5, 0.5, 0.0, 0.0], [1.0], 2, 2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_mimic_rejects_non_finite_global_spectrum(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            mimic_discrepancy([bad, 0.5, 0.5, 0.0], [0.5, 0.5], 2, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_mimic_rejects_non_finite_genuine_spectrum(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            mimic_discrepancy([0.25, 0.25, 0.5, 0.0], [bad, 0.5], 2, 2)
+
     def test_mimic_ignores_genuine_order(self):
         glob = [0.1, 0.2, 0.3, 0.4]
         a = mimic_discrepancy(glob, [0.7, 0.3], 2, 2)

@@ -1,5 +1,6 @@
 """Eigenvalue clustering and truncated components."""
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,20 +9,26 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import oracles
 from ncorr import (
     DEFAULT_TOLERANCES,
     DensityMatrix,
     MalformedInputError,
+    bell,
     cluster_spectrum,
     decompose,
+    random_classical,
     random_density,
     sigma,
+    sigma_dprime,
+    sigma_prime,
     tau,
     truncated_component,
     varsigma,
     xi,
     xi_prime,
     zeta,
+    zeta_prime,
 )
 
 
@@ -95,17 +102,98 @@ def test_deg_tolerance_merges_near_degenerate_pairs():
 
 
 def test_component_matrix_is_scaled_projector():
-    dec = cluster_spectrum(varsigma())
-    comp = truncated_component(dec.clusters[0], (2, 2))
-    v = dec.clusters[0].vectors
-    assert_allclose(comp.matrix, 0.5 * v @ v.conj().T, atol=1e-12)
-    assert comp.matrix.trace() == pytest.approx(comp.eta * comp.multiplicity, abs=1e-12)
+    """eta * V V^dag over the cluster vectors is eta times a projector of
+    trace eta * multiplicity, and each reduced spectrum sums to that trace."""
+    cluster = cluster_spectrum(varsigma()).clusters[0]
+    comp = truncated_component(cluster, (2, 2))
+    v = cluster.vectors
+    projector = v @ v.conj().T
+    assert_allclose(projector @ projector, projector, atol=1e-12)
+    quota = comp.eta * comp.multiplicity
+    assert (comp.eta * projector).trace() == pytest.approx(quota, abs=1e-12)
+    assert math.fsum(comp.spectrum_a) == pytest.approx(quota, abs=1e-12)
+    assert math.fsum(comp.spectrum_b) == pytest.approx(quota, abs=1e-12)
 
 
 def test_components_sum_back_to_state():
     for rho in (sigma(), tau(), xi()):
-        total = sum(c.matrix for c in decompose(rho))
+        clusters = cluster_spectrum(rho).clusters
+        total = sum(c.eta * (c.vectors @ c.vectors.conj().T) for c in clusters)
         assert_allclose(total, rho.mat, atol=1e-10)
+        for c, comp in zip(clusters, decompose(rho), strict=True):
+            assert (comp.eta, comp.multiplicity) == (c.eta, c.multiplicity)
+            assert math.fsum(comp.spectrum_a) == pytest.approx(c.eta * c.multiplicity, abs=1e-10)
+            assert math.fsum(comp.spectrum_b) == pytest.approx(c.eta * c.multiplicity, abs=1e-10)
+
+
+def _shapes(max_total):
+    return [(dA, dB) for dA in range(1, max_total + 1) for dB in range(1, max_total // dA + 1)]
+
+
+def _cross_check_states():
+    yield from (varsigma(), sigma(), sigma_prime(), sigma_dprime(), tau(), zeta(), zeta_prime(), xi(), xi_prime())
+    yield from (bell(n) for n in (2, 3, 4))
+    for dA, dB in _shapes(12):
+        d = dA * dB
+        for seed in range(3):
+            yield random_density((dA, dB), seed=seed)
+            yield random_classical((dA, dB), seed=seed).state
+            if d > 1:
+                yield random_density((dA, dB), rank=1 + seed % (d - 1), seed=seed)
+    yield random_density((12, 12), seed=5)
+
+
+def test_slice_spectra_equal_dense_projector_spectra():
+    """The reduced spectra summed from eigenvector slices equal, bit for bit,
+    those of the dense eta * V V^dag they replaced (tests/oracles.py)."""
+    checked = 0
+    for rho in _cross_check_states():
+        for cluster in cluster_spectrum(rho).clusters:
+            comp = truncated_component(cluster, rho.dims)
+            want_a, want_b = oracles.dense_component_spectra(cluster, rho.dims, DEFAULT_TOLERANCES)
+            assert np.array_equal(comp.spectrum_a, want_a)
+            assert np.array_equal(comp.spectrum_b, want_b)
+            checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("dims", _shapes(12))
+def test_slice_spectra_match_dense_on_degenerate_eigenspaces(dims):
+    """A generic eigenspace of multiplicity m > 1 sums m products per entry.
+    The dense path's one big matrix product and the slices' small ones may
+    add them in different orders, so these agree to a tolerance fixed from
+    the dtype: a few ulps of the quota per dimension."""
+    d = dims[0] * dims[1]
+    eps = np.finfo(float).eps
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        weights = rng.integers(1, 4, d).astype(float)
+        rho = DensityMatrix((u * (weights / weights.sum())) @ u.conj().T, dims)
+        for cluster in cluster_spectrum(rho).clusters:
+            comp = truncated_component(cluster, dims)
+            quota = cluster.eta * cluster.multiplicity
+            for got, want in zip(
+                (comp.spectrum_a, comp.spectrum_b),
+                oracles.dense_component_spectra(cluster, rho.dims, DEFAULT_TOLERANCES),
+            ):
+                assert_allclose(got, want, rtol=0, atol=4 * d * eps * quota)
+
+
+def test_decompose_memory_is_quadratic_in_dimension():
+    """A full-rank 12 x 12 state has 144 eigenspaces; holding a dense d x d
+    matrix for each would peak near 46 MiB. The bound is four complex d x d
+    arrays: the eigenvectors and eigh's work space."""
+    rho = random_density((12, 12), seed=3)
+    d = rho.dims.total
+    tracemalloc.start()
+    try:
+        components = decompose(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(components) == d
+    assert peak < 4 * d * d * 16
 
 
 def test_spectra_are_descending():
