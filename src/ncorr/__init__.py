@@ -30,17 +30,14 @@ from .linalg import (
     EigenSystem,
     commutator_fro_norm,
     hermitian_eig,
-    kron,
     partial_trace,
     partial_transpose,
     tensor_product,
 )
 from .measures import (
-    Collection,
     ComponentContribution,
     MeasureReport,
     SchmidtDecomposition,
-    collection_discrepancy,
     entropy_of_entanglement,
     mimic_discrepancy,
     nearest_integer_multiple,

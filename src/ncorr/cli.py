@@ -6,7 +6,6 @@ request exceeds a guard limit.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from dataclasses import replace
@@ -18,14 +17,8 @@ from . import __version__
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .detect import DetectionVerdict, classify
 from .errors import CapabilityError, DomainError, MalformedInputError
-from .io import Report, dumps, format_float, matrix_as_pairs, read_state_file, state_file_text, write_state_file
-from .linalg import partial_trace
-from .measures import (
-    MeasureReport,
-    partition_discrepancy,
-    truncation_measure,
-    von_neumann_entropy,
-)
+from .io import Report, format_float, matrix_as_pairs, read_state_file, state_file_text, write_state_file
+from .measures import MeasureReport, partition_discrepancy, truncation_measure
 from .states import StateSpec, build, random_density
 
 
@@ -256,9 +249,8 @@ def run_sweep(
         params = dict(fixed or {})
         params[param] = float(value)
         state = build(StateSpec(family, params))
-        m = truncation_measure(state, tol).value
-        entropy = von_neumann_entropy(partial_trace(state.mat, state.dims, "A"), tol)
-        rows.append((float(value), m, entropy))
+        report = truncation_measure(state, tol)
+        rows.append((float(value), report.value, report.entropy_a))
     return rows
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .linalg import DensityMatrix, hermitian_eig, kron, partial_trace
+from .linalg import DensityMatrix, partial_trace
 from .measures import _truncation_values, ppt_min_eigenvalue, schmidt_decomposition
 from .states import projector
 
@@ -63,32 +63,27 @@ def _offdiag_norm(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat - np.diag(np.diagonal(mat)), "fro"))
 
 
-def _group_by_overlap(vectors: list[np.ndarray]) -> tuple[np.ndarray, list[int]]:
+def _overlaps(local: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Local components as columns, and the Gram matrix |<v_i|v_j>| of them."""
+    vectors = np.column_stack(local)
+    return vectors, np.abs(vectors.conj().T @ vectors)
+
+
+def _group_by_overlap(vectors: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Assign each vector a group label, merging vectors equal up to phase.
 
     Callers guarantee pairwise overlaps are near 0 or near 1, so a 1/2
-    threshold separates the two cases cleanly.
+    threshold separates the two cases cleanly. A vector's group is that of
+    the first vector it overlaps (itself, if none before it does); groups are
+    numbered in order of first appearance and represented by that vector.
     """
-    reps: list[np.ndarray] = []
-    labels = []
-    for v in vectors:
-        for g, r in enumerate(reps):
-            if abs(np.vdot(r, v)) > 0.5:
-                labels.append(g)
-                break
-        else:
-            labels.append(len(reps))
-            reps.append(v)
-    return np.column_stack(reps), labels
+    reps, labels = np.unique((gram > 0.5).argmax(axis=0), return_inverse=True)
+    return vectors[:, reps], labels
 
 
 def _product_reconstruction(basis_a: np.ndarray, basis_b: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    mat = np.zeros((basis_a.shape[0] * basis_b.shape[0],) * 2, dtype=np.complex128)
-    for j in range(weights.shape[0]):
-        pa = projector(basis_a[:, j])
-        for k in range(weights.shape[1]):
-            mat += weights[j, k] * kron(pa, projector(basis_b[:, k]))
-    return mat
+    u = np.kron(basis_a, basis_b)
+    return (u * weights.reshape(-1)) @ u.conj().T
 
 
 def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> TestOutcome:
@@ -102,7 +97,7 @@ def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TO
     """
     name = "global-nondegenerate"
     dims = rho.dims
-    values, vectors = hermitian_eig(rho.mat, tol)
+    values, vectors = rho.eig
     nonzero = np.flatnonzero(values > tol.zero)
     gap = _min_gap(values[nonzero])
     if gap <= tol.deg:
@@ -120,17 +115,17 @@ def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TO
             )
         locals_a.append(schmidt.vectors_a[:, 0])
         locals_b.append(schmidt.vectors_b[:, 0])
-    for side, local in (("A", locals_a), ("B", locals_b)):
-        for i in range(len(local)):
-            for j in range(i + 1, len(local)):
-                overlap = abs(np.vdot(local[i], local[j]))
-                if overlap > tol.orth and overlap < 1 - tol.orth:
-                    return TestOutcome(
-                        name,
-                        "nonclassical",
-                        overlap,
-                        f"subsystem {side} eigenvector components neither orthogonal nor equal",
-                    )
+    overlaps = {"A": _overlaps(locals_a), "B": _overlaps(locals_b)}
+    for side, (_, gram) in overlaps.items():
+        # argwhere is row-major: the witness is the first offending pair i < j in that order.
+        offending = np.argwhere(np.triu((gram > tol.orth) & (gram < 1 - tol.orth), 1))
+        if len(offending):
+            return TestOutcome(
+                name,
+                "nonclassical",
+                float(gram[tuple(offending[0])]),
+                f"subsystem {side} eigenvector components neither orthogonal nor equal",
+            )
     if len(nonzero) < dims.total:
         return TestOutcome(
             name,
@@ -138,11 +133,10 @@ def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TO
             float(len(nonzero)),
             "product checks passed but the spectrum is rank-deficient",
         )
-    basis_a, labels_a = _group_by_overlap(locals_a)
-    basis_b, labels_b = _group_by_overlap(locals_b)
+    basis_a, labels_a = _group_by_overlap(*overlaps["A"])
+    basis_b, labels_b = _group_by_overlap(*overlaps["B"])
     weights = np.zeros((dims.dA, dims.dB))
-    for idx, (ja, kb) in enumerate(zip(labels_a, labels_b)):
-        weights[ja, kb] = values[nonzero[idx]]
+    weights[labels_a, labels_b] = values[nonzero]
     residual = float(np.linalg.norm(rho.mat - _product_reconstruction(basis_a, basis_b, weights), "fro"))
     if residual > tol.offdiag:
         return TestOutcome(name, "inconclusive", residual, "product basis failed to reconstruct the state")
@@ -165,12 +159,12 @@ def detect_local_both_nondegenerate(rho: DensityMatrix, tol: Tolerances = DEFAUL
     """
     name = "local-both-nondegenerate"
     dims = rho.dims
-    wa, va = hermitian_eig(partial_trace(rho.mat, dims, "A"), tol)
-    wb, vb = hermitian_eig(partial_trace(rho.mat, dims, "B"), tol)
+    wa, va = rho.reduced_eig["A"]
+    wb, vb = rho.reduced_eig["B"]
     gap = min(_min_gap(wa), _min_gap(wb))
     if gap <= tol.deg:
         return TestOutcome(name, "not-applicable", gap, "a reduced spectrum is degenerate")
-    u = kron(va, vb)
+    u = np.kron(va, vb)
     rotated = u.conj().T @ rho.mat @ u
     residual = _offdiag_norm(rotated)
     if residual > tol.offdiag:
@@ -189,21 +183,14 @@ def detect_local_both_nondegenerate(rho: DensityMatrix, tol: Tolerances = DEFAUL
     )
 
 
-def _conditional_blocks(rho: DensityMatrix, basis: np.ndarray, sandwiched: str) -> list[np.ndarray]:
-    """Blocks <v_j| rho |v_j> over the sandwiched subsystem's basis vectors."""
-    dims = rho.dims
-    r = rho.mat.reshape(dims.dA, dims.dB, dims.dA, dims.dB)
-    blocks = []
-    for j in range(basis.shape[1]):
-        v = basis[:, j]
-        if sandwiched == "B":
-            blocks.append(np.einsum("b,abcd,d->ac", v.conj(), r, v))
-        else:
-            blocks.append(np.einsum("a,abcd,c->bd", v.conj(), r, v))
-    return blocks
+def _conditional_blocks(rho: DensityMatrix, basis: np.ndarray, sandwiched: str) -> np.ndarray:
+    """Stacked blocks <v_j| rho |v_j> over the sandwiched subsystem's basis vectors."""
+    r = rho.mat.reshape(rho.dims.dA, rho.dims.dB, rho.dims.dA, rho.dims.dB)
+    spec = "bj,abcd,dj->jac" if sandwiched == "B" else "aj,abcd,cj->jbd"
+    return np.einsum(spec, basis.conj(), r, basis)
 
 
-def _joint_eigenbasis(blocks: list[np.ndarray], tol: Tolerances) -> np.ndarray | None:
+def _joint_eigenbasis(blocks: np.ndarray, tol: Tolerances) -> np.ndarray | None:
     """Common eigenbasis of commuting Hermitian matrices, or None on failure."""
     rng = np.random.default_rng(7)
     for _ in range(8):
@@ -224,9 +211,8 @@ def detect_local_one_nondegenerate(rho: DensityMatrix, tol: Tolerances = DEFAULT
     decisive.
     """
     name = "local-one-nondegenerate"
-    dims = rho.dims
-    wa, va = hermitian_eig(partial_trace(rho.mat, dims, "A"), tol)
-    wb, vb = hermitian_eig(partial_trace(rho.mat, dims, "B"), tol)
+    wa, va = rho.reduced_eig["A"]
+    wb, vb = rho.reduced_eig["B"]
     nondeg_a = _min_gap(wa) > tol.deg
     nondeg_b = _min_gap(wb) > tol.deg
     if nondeg_a == nondeg_b:
@@ -240,9 +226,9 @@ def detect_local_one_nondegenerate(rho: DensityMatrix, tol: Tolerances = DEFAULT
     basis = vb if nondeg_b else va
     blocks = _conditional_blocks(rho, basis, side)
     if side == "B":
-        recon = sum(kron(blk, projector(basis[:, j])) for j, blk in enumerate(blocks))
+        recon = sum(np.kron(blk, projector(basis[:, j])) for j, blk in enumerate(blocks))
     else:
-        recon = sum(kron(projector(basis[:, j]), blk) for j, blk in enumerate(blocks))
+        recon = sum(np.kron(projector(basis[:, j]), blk) for j, blk in enumerate(blocks))
     residual = float(np.linalg.norm(rho.mat - recon, "fro"))
     if residual > tol.offdiag:
         return TestOutcome(
@@ -282,8 +268,8 @@ def detect_commutator(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) 
     dims = rho.dims
     ra = partial_trace(rho.mat, dims, "A")
     rb = partial_trace(rho.mat, dims, "B")
-    ca = float(np.linalg.norm(rho.mat @ kron(ra, np.eye(dims.dB)) - kron(ra, np.eye(dims.dB)) @ rho.mat, "fro"))
-    cb = float(np.linalg.norm(rho.mat @ kron(np.eye(dims.dA), rb) - kron(np.eye(dims.dA), rb) @ rho.mat, "fro"))
+    ca = float(np.linalg.norm(rho.mat @ np.kron(ra, np.eye(dims.dB)) - np.kron(ra, np.eye(dims.dB)) @ rho.mat, "fro"))
+    cb = float(np.linalg.norm(rho.mat @ np.kron(np.eye(dims.dA), rb) - np.kron(np.eye(dims.dA), rb) @ rho.mat, "fro"))
     witness = max(ca, cb)
     if witness > tol.comm:
         side = "A" if ca >= cb else "B"

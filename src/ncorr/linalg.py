@@ -7,6 +7,7 @@ produced by numpy.kron.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -37,9 +38,32 @@ def _as_dims(dims) -> BipartiteDims:
     return BipartiteDims(int(dims[0]), int(dims[1]))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class EigenSystem(NamedTuple):
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+
+    values: np.ndarray
+    vectors: np.ndarray  # column k pairs with values[k]
+
+
+def _eigensystem(mat: np.ndarray) -> EigenSystem:
+    return EigenSystem(*map(_read_only, np.linalg.eigh(mat)))
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated bipartite density matrix: finite, Hermitian, unit trace, positive semidefinite."""
+    """Validated bipartite density matrix: finite, Hermitian, unit trace, positive semidefinite.
+
+    mat is a read-only complex128 copy of the input, so the cached, read-only
+    eigensystems cannot go stale: eig of mat, and reduced_eig, {"A": ..., "B":
+    ...} of partial_trace(mat, dims, side). Each is computed on first use and
+    read as it is, with no second Hermiticity check. Validation needs only
+    eigenvalues, so a state that is never analysed pays for no eigenvectors.
+    """
 
     mat: np.ndarray
     dims: BipartiteDims
@@ -47,7 +71,7 @@ class DensityMatrix:
 
     def __post_init__(self, tol: Tolerances | None):
         tol = tol or DEFAULT_TOLERANCES
-        mat = np.asarray(self.mat, dtype=np.complex128)
+        mat = _read_only(np.array(self.mat, dtype=np.complex128))
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", _as_dims(self.dims))
         d = self.dims.total
@@ -67,27 +91,27 @@ class DensityMatrix:
         if min_eig < -tol.psd:
             raise MalformedInputError(f"matrix is not positive semidefinite: min eigenvalue {min_eig:.3e}")
 
+    @cached_property
+    def eig(self) -> EigenSystem:
+        return _eigensystem(self.mat)
 
-class EigenSystem(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-
-    values: np.ndarray
-    vectors: np.ndarray  # column k pairs with values[k]
+    @cached_property
+    def reduced_eig(self) -> dict[str, EigenSystem]:
+        return {side: _eigensystem(partial_trace(self.mat, self.dims, side)) for side in "AB"}
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the A-major index convention."""
-    return np.kron(a, b)
+def _blocks(mat: np.ndarray, dims) -> tuple[BipartiteDims, np.ndarray]:
+    """dims, and mat viewed as r[a, b, a', b'] = mat[a * dB + b, a' * dB + b']."""
+    dims = _as_dims(dims)
+    mat = np.asarray(mat)
+    if mat.shape != (dims.total, dims.total):
+        raise MalformedInputError(f"matrix shape {mat.shape} does not match dims {dims.dA}x{dims.dB}")
+    return dims, mat.reshape(dims.dA, dims.dB, dims.dA, dims.dB)
 
 
 def partial_trace(mat: np.ndarray, dims, keep: str = "A") -> np.ndarray:
     """Trace out one subsystem; keep='A' returns the dA x dA matrix tr_B(mat)."""
-    dims = _as_dims(dims)
-    mat = np.asarray(mat)
-    d = dims.total
-    if mat.shape != (d, d):
-        raise MalformedInputError(f"matrix shape {mat.shape} does not match dims {dims.dA}x{dims.dB}")
-    r = mat.reshape(dims.dA, dims.dB, dims.dA, dims.dB)
+    dims, r = _blocks(mat, dims)
     if keep == "A":
         return np.einsum("abcb->ac", r)
     if keep == "B":
@@ -97,19 +121,14 @@ def partial_trace(mat: np.ndarray, dims, keep: str = "A") -> np.ndarray:
 
 def partial_transpose(mat: np.ndarray, dims, side: str = "B") -> np.ndarray:
     """Transpose the indices of one subsystem only."""
-    dims = _as_dims(dims)
-    mat = np.asarray(mat)
-    d = dims.total
-    if mat.shape != (d, d):
-        raise MalformedInputError(f"matrix shape {mat.shape} does not match dims {dims.dA}x{dims.dB}")
-    r = mat.reshape(dims.dA, dims.dB, dims.dA, dims.dB)
+    dims, r = _blocks(mat, dims)
     if side == "B":
         r = r.transpose(0, 3, 2, 1)
     elif side == "A":
         r = r.transpose(2, 1, 0, 3)
     else:
         raise MalformedInputError(f"side must be 'A' or 'B', got {side!r}")
-    return r.reshape(d, d)
+    return r.reshape(dims.total, dims.total)
 
 
 def hermitian_eig(mat: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenSystem:

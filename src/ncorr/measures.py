@@ -15,13 +15,13 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import CapabilityError, DomainError, MalformedInputError
-from .linalg import DensityMatrix, _as_dims, hermitian_eig, partial_trace, partial_transpose
+from .linalg import DensityMatrix, _as_dims, _read_only, hermitian_eig, partial_transpose
 from .spectral import TruncatedComponent, decompose
 
 _QUOTA_SLACK = 1e-9  # relative headroom over the quota before x is out of domain
@@ -65,42 +65,8 @@ def surprisal_term(x: float, y: float, quota: float) -> float:
     return max(0.0, -abs(x - y) * math.log2(x / quota))
 
 
-@dataclass(frozen=True)
-class Collection:
-    """Grouped spectrum values with one quota per group."""
-
-    groups: tuple[tuple[float, ...], ...]
-    quotas: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.groups) != len(self.quotas):
-            raise DomainError(
-                f"{len(self.groups)} groups but {len(self.quotas)} quotas"
-            )
-
-    @classmethod
-    def from_groups(cls, groups: Iterable[Iterable[float]]) -> "Collection":
-        """Collection whose quotas are the group sums."""
-        groups = tuple(tuple(float(v) for v in g) for g in groups)
-        return cls(groups=groups, quotas=tuple(math.fsum(g) for g in groups))
-
-
 def _group_discrepancy(xs: Sequence[float], ys: Sequence[float], quota: float) -> float:
     return math.fsum(surprisal_term(x, y, quota) for x, y in zip(xs, ys))
-
-
-def collection_discrepancy(x: Collection, y: Collection) -> float:
-    """Sum of surprisal terms over paired groups, using the x-side quotas."""
-    if len(x.groups) != len(y.groups):
-        raise DomainError(
-            f"collections disagree on group count: {len(x.groups)} vs {len(y.groups)}"
-        )
-    total = 0.0
-    for j, (gx, gy) in enumerate(zip(x.groups, y.groups)):
-        if len(gx) != len(gy):
-            raise DomainError(f"group {j} size mismatch: {len(gx)} vs {len(gy)}")
-        total += _group_discrepancy(gx, gy, x.quotas[j])
-    return total
 
 
 def truncation_measure_side(
@@ -168,8 +134,8 @@ def truncation_measure(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES)
         side_a=total_a,
         side_b=total_b,
         per_component=per_component,
-        entropy_a=von_neumann_entropy(partial_trace(rho.mat, rho.dims, "A"), tol),
-        entropy_b=von_neumann_entropy(partial_trace(rho.mat, rho.dims, "B"), tol),
+        entropy_a=_entropy(rho.reduced_eig["A"].values, tol),
+        entropy_b=_entropy(rho.reduced_eig["B"].values, tol),
         ppt_min_eig=ppt_min_eigenvalue(rho),
     )
 
@@ -178,17 +144,12 @@ def _xlog2x(v: float) -> float:
     return v * math.log2(v) if v > 0 else 0.0
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @lru_cache(maxsize=None)
 def _subsets(n: int, g: int) -> np.ndarray:
     """Every g-subset of range(n) as an ascending row. Row r is the subset of
     colex rank r, where c_0 < ... < c_(g-1) has rank sum_i C(c_i, i + 1)."""
     rows = sorted(combinations(range(n), g), key=lambda c: c[::-1])
-    return _frozen(np.array(rows, dtype=np.intp).reshape(len(rows), g))
+    return _read_only(np.array(rows, dtype=np.intp).reshape(len(rows), g))
 
 
 @lru_cache(maxsize=None)
@@ -209,7 +170,7 @@ def _split(n: int, g: int) -> tuple[np.ndarray, np.ndarray]:
         tail_maps, tail_rows = _split(n - g, g)
         tails = tail_maps[:, tail_rows].reshape(-1, n // g - 1)
     rows = np.column_stack([tails, np.full(len(tails), local.shape[1])])
-    return _frozen(maps), _frozen(rows.astype(np.min_scalar_type(local.shape[1])))
+    return _read_only(maps), _read_only(rows.astype(np.min_scalar_type(local.shape[1])))
 
 
 def mimic_discrepancy(
@@ -294,9 +255,7 @@ def partition_discrepancy(
             f"total dimension {d} exceeds the guard limit {max_dim}: the side-{side} partition "
             f"search scores {formula} groupings, here {_partition_count(n_groups, group_size)}"
         )
-    global_spectrum = hermitian_eig(rho.mat, tol).values
-    genuine = hermitian_eig(partial_trace(rho.mat, dims, side), tol).values
-    return mimic_discrepancy(global_spectrum, genuine, n_groups, group_size)
+    return mimic_discrepancy(rho.eig.values, rho.reduced_eig[side].values, n_groups, group_size)
 
 
 def partition_measure(rho: DensityMatrix, max_dim: int = 16, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
@@ -312,7 +271,12 @@ def von_neumann_entropy(mat: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -
     w = hermitian_eig(mat, tol).values
     if w[0] < -tol.psd:
         raise DomainError(f"matrix is not positive semidefinite: min eigenvalue {float(w[0]):.3e}")
-    return -math.fsum(_xlog2x(float(v)) for v in w if v > tol.rank)
+    return _entropy(w, tol)
+
+
+def _entropy(values: np.ndarray, tol: Tolerances) -> float:
+    """-sum(w * log2(w)) over the values above the rank cutoff."""
+    return -math.fsum(_xlog2x(float(v)) for v in values if v > tol.rank)
 
 
 class SchmidtDecomposition(NamedTuple):

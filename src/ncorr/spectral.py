@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import MalformedInputError
-from .linalg import DensityMatrix, _as_dims, hermitian_eig
+from .linalg import DensityMatrix, _as_dims
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +65,7 @@ def cluster_spectrum(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -
     """
     if not isinstance(rho, DensityMatrix):
         raise MalformedInputError("cluster_spectrum expects a DensityMatrix")
-    values, vectors = hermitian_eig(rho.mat, tol)
+    values, vectors = rho.eig
     groups: list[list[int]] = [[0]]
     for i in range(1, len(values)):
         if values[i] - values[i - 1] <= tol.deg:
@@ -102,7 +102,7 @@ def truncated_component(
         # accumulate adds the slices in order, as the dense partial trace did;
         # sum(axis=0) would add a stack of 1 x 1 slices pairwise instead.
         reduced = np.add.accumulate(cluster.eta * (s @ s.conj().transpose(0, 2, 1)))[-1]
-        w = hermitian_eig(reduced, tol).values
+        w = np.linalg.eigh(reduced)[0]
         spectra.append(np.sort(w[w > tol.rank])[::-1])
     return TruncatedComponent(
         eta=cluster.eta,

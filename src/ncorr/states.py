@@ -9,7 +9,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DomainError, MalformedInputError
-from .linalg import BipartiteDims, DensityMatrix, kron, tensor_product
+from .linalg import BipartiteDims, DensityMatrix, tensor_product
 
 
 def ket(index: int, dim: int) -> np.ndarray:
@@ -30,14 +30,10 @@ def projector(vec: np.ndarray) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def _pair(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    return np.kron(va, vb)
-
-
 def varsigma() -> DensityMatrix:
     """Two-qubit mixture of |00> and |1+>, separable with no product eigenbasis."""
     k0, k1, kp = ket(0, 2), ket(1, 2), plus_ket(2)
-    mat = (projector(_pair(k0, k0)) + projector(_pair(k1, kp))) / 2
+    mat = (projector(np.kron(k0, k0)) + projector(np.kron(k1, kp))) / 2
     return DensityMatrix(mat, BipartiteDims(2, 2))
 
 
@@ -45,28 +41,28 @@ def sigma() -> DensityMatrix:
     """Two-qubit rank-3 mixture of |00>, |01>, |1+> with weights 1:2:3."""
     k0, k1, kp = ket(0, 2), ket(1, 2), plus_ket(2)
     mat = (
-        projector(_pair(k0, k0))
-        + 2 * projector(_pair(k0, k1))
-        + 3 * projector(_pair(k1, kp))
+        projector(np.kron(k0, k0))
+        + 2 * projector(np.kron(k0, k1))
+        + 3 * projector(np.kron(k1, kp))
     ) / 6
     return DensityMatrix(mat, BipartiteDims(2, 2))
 
 
 def _phi() -> np.ndarray:
-    return (_pair(ket(0, 2), ket(0, 2)) + _pair(ket(1, 2), ket(1, 2))) / math.sqrt(2)
+    return (np.kron(ket(0, 2), ket(0, 2)) + np.kron(ket(1, 2), ket(1, 2))) / math.sqrt(2)
 
 
 def sigma_prime() -> DensityMatrix:
     """Maximally entangled component at weight 1/2 plus |01>, |10> at 1/4 each."""
     k0, k1 = ket(0, 2), ket(1, 2)
-    mat = projector(_phi()) / 2 + (projector(_pair(k0, k1)) + projector(_pair(k1, k0))) / 4
+    mat = projector(_phi()) / 2 + (projector(np.kron(k0, k1)) + projector(np.kron(k1, k0))) / 4
     return DensityMatrix(mat, BipartiteDims(2, 2))
 
 
 def sigma_dprime() -> DensityMatrix:
     """Maximally entangled component at weight 1/4 plus |01>, |10> at 3/8 each."""
     k0, k1 = ket(0, 2), ket(1, 2)
-    mat = projector(_phi()) / 4 + 3 * (projector(_pair(k0, k1)) + projector(_pair(k1, k0))) / 8
+    mat = projector(_phi()) / 4 + 3 * (projector(np.kron(k0, k1)) + projector(np.kron(k1, k0))) / 8
     return DensityMatrix(mat, BipartiteDims(2, 2))
 
 
@@ -74,7 +70,7 @@ def tau() -> DensityMatrix:
     """Two-qutrit mixture of the three symmetric pair states, entangled yet measure-zero."""
     vecs = []
     for i, j in ((0, 1), (1, 2), (2, 0)):
-        vecs.append((_pair(ket(i, 3), ket(j, 3)) + _pair(ket(j, 3), ket(i, 3))) / math.sqrt(2))
+        vecs.append((np.kron(ket(i, 3), ket(j, 3)) + np.kron(ket(j, 3), ket(i, 3))) / math.sqrt(2))
     mat = sum(projector(v) for v in vecs) / 3
     return DensityMatrix(mat, BipartiteDims(3, 3))
 
@@ -83,10 +79,10 @@ def zeta() -> DensityMatrix:
     """Two-ququart mixture of |00>, |+2>, |2+>, |33> at weight 1/4 each."""
     k0, k2, k3, kp = ket(0, 4), ket(2, 4), ket(3, 4), plus_ket(4)
     mat = (
-        projector(_pair(k0, k0))
-        + projector(_pair(kp, k2))
-        + projector(_pair(k2, kp))
-        + projector(_pair(k3, k3))
+        projector(np.kron(k0, k0))
+        + projector(np.kron(kp, k2))
+        + projector(np.kron(k2, kp))
+        + projector(np.kron(k3, k3))
     ) / 4
     return DensityMatrix(mat, BipartiteDims(4, 4))
 
@@ -102,7 +98,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def apply_local_unitaries(rho: DensityMatrix, ua: np.ndarray, ub: np.ndarray) -> DensityMatrix:
     """Conjugate a state by a product unitary ua (x) ub."""
-    u = kron(ua, ub)
+    u = np.kron(ua, ub)
     return DensityMatrix(u @ rho.mat @ u.conj().T, rho.dims)
 
 
@@ -158,7 +154,7 @@ def kappa(c_x: float, c_y: float, c_z: float, tol: Tolerances = DEFAULT_TOLERANC
     """
     mat = np.eye(4, dtype=np.complex128)
     for c, name in ((c_x, "x"), (c_y, "y"), (c_z, "z")):
-        mat += c * kron(_PAULI[name], _PAULI[name])
+        mat += c * np.kron(_PAULI[name], _PAULI[name])
     mat /= 4
     evals = kappa_eigenvalues(c_x, c_y, c_z)
     if min(evals) < -tol.psd:
@@ -180,10 +176,10 @@ def bell_basis() -> np.ndarray:
     """Columns are the four Bell vectors, ordered to match kappa_eigenvalues."""
     k0, k1 = ket(0, 2), ket(1, 2)
     cols = [
-        (_pair(k0, k1) - _pair(k1, k0)) / math.sqrt(2),
-        (_pair(k0, k0) - _pair(k1, k1)) / math.sqrt(2),
-        (_pair(k0, k0) + _pair(k1, k1)) / math.sqrt(2),
-        (_pair(k0, k1) + _pair(k1, k0)) / math.sqrt(2),
+        (np.kron(k0, k1) - np.kron(k1, k0)) / math.sqrt(2),
+        (np.kron(k0, k0) - np.kron(k1, k1)) / math.sqrt(2),
+        (np.kron(k0, k0) + np.kron(k1, k1)) / math.sqrt(2),
+        (np.kron(k0, k1) + np.kron(k1, k0)) / math.sqrt(2),
     ]
     return np.column_stack(cols)
 
@@ -218,7 +214,7 @@ def random_classical(dims, seed: int = 0) -> ClassicalSample:
     ua = haar_unitary(dims.dA, rng)
     ub = haar_unitary(dims.dB, rng)
     weights = rng.dirichlet(np.ones(dims.total)).reshape(dims.dA, dims.dB)
-    u = kron(ua, ub)
+    u = np.kron(ua, ub)
     mat = (u * weights.reshape(-1)) @ u.conj().T
     return ClassicalSample(DensityMatrix(mat, dims), ua, ub, weights)
 
@@ -246,56 +242,38 @@ def _param(params: Mapping[str, float], key: str, default=None):
     return default
 
 
+def _dims(params: Mapping[str, float]) -> BipartiteDims:
+    return BipartiteDims(int(_param(params, "dA", 2)), int(_param(params, "dB", 2)))
+
+
+def _random(params: Mapping[str, float]) -> DensityMatrix:
+    rank = params.get("rank")
+    return random_density(_dims(params), None if rank is None else int(rank), int(_param(params, "seed", 0)))
+
+
+_BUILDERS = {
+    "varsigma": lambda p: varsigma(),
+    "sigma": lambda p: sigma(),
+    "sigma_prime": lambda p: sigma_prime(),
+    "sigma_dprime": lambda p: sigma_dprime(),
+    "tau": lambda p: tau(),
+    "zeta": lambda p: zeta(),
+    "zeta_prime": lambda p: zeta_prime(int(_param(p, "seed_a", 0)), int(_param(p, "seed_b", 1))),
+    "xi": lambda p: xi(),
+    "xi_prime": lambda p: xi_prime(),
+    "bell": lambda p: bell(int(_param(p, "N", 2))),
+    "phi_p": lambda p: phi_p(float(_param(p, "p"))),
+    "kappa": lambda p: kappa(*(float(_param(p, c, 0.0)) for c in ("c_x", "c_y", "c_z"))),
+    "random": _random,
+    "random_classical": lambda p: random_classical(_dims(p), int(_param(p, "seed", 0))).state,
+}
+
+CATALOG_NAMES = tuple(_BUILDERS)
+
+
 def build(spec: StateSpec) -> DensityMatrix:
     """Construct a catalog state from its spec; unknown names are rejected."""
-    name, p = spec.name, dict(spec.params)
-    if name == "varsigma":
-        return varsigma()
-    if name == "sigma":
-        return sigma()
-    if name == "sigma_prime":
-        return sigma_prime()
-    if name == "sigma_dprime":
-        return sigma_dprime()
-    if name == "tau":
-        return tau()
-    if name == "zeta":
-        return zeta()
-    if name == "zeta_prime":
-        return zeta_prime(int(_param(p, "seed_a", 0)), int(_param(p, "seed_b", 1)))
-    if name == "xi":
-        return xi()
-    if name == "xi_prime":
-        return xi_prime()
-    if name == "bell":
-        return bell(int(_param(p, "N", 2)))
-    if name == "phi_p":
-        return phi_p(float(_param(p, "p")))
-    if name == "kappa":
-        return kappa(float(_param(p, "c_x", 0.0)), float(_param(p, "c_y", 0.0)), float(_param(p, "c_z", 0.0)))
-    if name == "random":
-        dims = BipartiteDims(int(_param(p, "dA", 2)), int(_param(p, "dB", 2)))
-        rank = p.get("rank")
-        return random_density(dims, None if rank is None else int(rank), int(_param(p, "seed", 0)))
-    if name == "random_classical":
-        dims = BipartiteDims(int(_param(p, "dA", 2)), int(_param(p, "dB", 2)))
-        return random_classical(dims, int(_param(p, "seed", 0))).state
-    raise MalformedInputError(f"unknown state name {name!r}")
-
-
-CATALOG_NAMES = (
-    "varsigma",
-    "sigma",
-    "sigma_prime",
-    "sigma_dprime",
-    "tau",
-    "zeta",
-    "zeta_prime",
-    "xi",
-    "xi_prime",
-    "bell",
-    "phi_p",
-    "kappa",
-    "random",
-    "random_classical",
-)
+    builder = _BUILDERS.get(spec.name)
+    if builder is None:
+        raise MalformedInputError(f"unknown state name {spec.name!r}")
+    return builder(dict(spec.params))

@@ -18,7 +18,6 @@ from ncorr import (
     detect_nondegenerate_global,
     detect_npt,
     kappa,
-    kron,
     phi_p,
     projector,
     random_classical,
@@ -33,7 +32,7 @@ def reconstruct(basis_a, basis_b, weights):
     mat = np.zeros((d, d), dtype=complex)
     for j in range(weights.shape[0]):
         for k in range(weights.shape[1]):
-            mat += weights[j, k] * kron(projector(basis_a[:, j]), projector(basis_b[:, k]))
+            mat += weights[j, k] * np.kron(projector(basis_a[:, j]), projector(basis_b[:, k]))
     return mat
 
 
@@ -127,7 +126,7 @@ class TestLocalOneNondegenerate:
         b0 = np.diag([0.25, 0.05]).astype(complex)
         b1 = 0.10 * projector(plus) + 0.08 * projector(plus * [1, -1])
         b2 = np.eye(2) / 2 - b0 - b1
-        mat = sum(kron(b, projector(np.eye(3)[:, k])) for k, b in enumerate((b0, b1, b2)))
+        mat = sum(np.kron(b, projector(np.eye(3)[:, k])) for k, b in enumerate((b0, b1, b2)))
         rho = DensityMatrix(mat, (2, 3))
         out = detect_local_one_nondegenerate(rho)
         assert out.outcome == "nonclassical"
@@ -138,7 +137,7 @@ class TestLocalOneNondegenerate:
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
         block0 = np.diag([0.30, 0.20]).astype(complex)
         block1 = 0.35 * projector(plus) + 0.15 * projector(plus * [1, -1])
-        mat = kron(block0, projector(np.array([1.0, 0.0]))) + kron(
+        mat = np.kron(block0, projector(np.array([1.0, 0.0]))) + np.kron(
             block1, projector(np.array([0.0, 1.0]))
         )
         rho = DensityMatrix(mat, (2, 2))

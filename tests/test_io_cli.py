@@ -337,6 +337,29 @@ class TestCliDetect:
         assert "witnessing product eigenbasis emitted" in out
 
 
+class TestCliNearHermitian:
+    """A state validation accepts (max |m - m^dag| = 9e-11 < tol.herm) whose
+    reduced state A has three times that error (2.7e-10): the whole request
+    must run on the state as accepted, not re-check matrices derived from it."""
+
+    @staticmethod
+    def _path(tmp_path) -> str:
+        mat = np.array(random_density((2, 3), seed=1).mat)
+        for b in range(3):
+            mat[b, 3 + b] += 0.45e-10
+            mat[3 + b, b] -= 0.45e-10
+        assert np.abs(mat - mat.conj().T).max() == pytest.approx(9e-11, rel=1e-3)
+        return _write_state(tmp_path, "near_hermitian", DensityMatrix(mat, (2, 3)))
+
+    def test_compute_all_exits_0(self, tmp_path, capsys):
+        assert main(["compute", "--in", self._path(tmp_path), "--which", "all", "--json"]) == 0
+        assert "G" in json.loads(capsys.readouterr().out)["measure"]
+
+    def test_detect_exits_0(self, tmp_path, capsys):
+        assert main(["detect", "--in", self._path(tmp_path)]) == 0
+        assert "verdict:" in capsys.readouterr().out
+
+
 class TestCliSweep:
     def test_pure_family_csv(self, tmp_path):
         path = tmp_path / "sweep.csv"

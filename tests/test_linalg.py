@@ -10,14 +10,16 @@ from ncorr import (
     DensityMatrix,
     MalformedInputError,
     bell,
+    classify,
     commutator_fro_norm,
     hermitian_eig,
-    kron,
     partial_trace,
     partial_transpose,
+    partition_measure,
     sigma,
     tau,
     tensor_product,
+    truncation_measure,
 )
 
 
@@ -82,13 +84,58 @@ class TestDensityMatrix:
         with pytest.raises(MalformedInputError, match="non-finite"):
             DensityMatrix([[bad]], (1, 1))
 
+    def test_mat_is_a_read_only_copy(self):
+        mat = np.eye(4, dtype=complex) / 4
+        rho = DensityMatrix(mat, (2, 2))
+        assert not rho.mat.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rho.mat[0, 0] = 1.0
+        assert mat.flags.writeable
+        mat[0, 0] = 1.0  # the caller's array stays theirs
+        assert rho.mat[0, 0] == 0.25
+
+
+class TestCachedEigensystems:
+    def test_eig_is_computed_once_and_read_only(self):
+        rho = random_rho((2, 3), 3)
+        values, vectors = rho.eig
+        assert rho.eig is rho.eig
+        assert_allclose(values, np.linalg.eigvalsh(rho.mat), atol=1e-14)
+        assert_allclose((vectors * values) @ vectors.conj().T, rho.mat, atol=1e-13)
+        assert not values.flags.writeable and not vectors.flags.writeable
+
+    def test_reduced_eig_matches_partial_traces(self):
+        rho = random_rho((2, 3), 4)
+        assert rho.reduced_eig is rho.reduced_eig
+        for side in "AB":
+            want = np.linalg.eigh(partial_trace(rho.mat, rho.dims, side))
+            assert np.array_equal(rho.reduced_eig[side].values, want.eigenvalues)
+            assert np.array_equal(rho.reduced_eig[side].vectors, want.eigenvectors)
+            assert not rho.reduced_eig[side].vectors.flags.writeable
+
+    def test_one_full_eigendecomposition_per_state(self, monkeypatch):
+        """M, G and classify on one state share a single d x d eigh."""
+        rho = random_rho((2, 3), 5)
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        truncation_measure(rho)
+        partition_measure(rho)
+        classify(rho)
+        assert shapes.count((6, 6)) == 1
+
 
 class TestPartialTrace:
     def test_traces_to_reduced_of_kron(self):
         """tr_B(x (x) y) = tr(y) * x and tr_A(x (x) y) = tr(x) * y."""
         x = random_hermitian(2, 1)
         y = random_hermitian(3, 2)
-        m = kron(x, y)
+        m = np.kron(x, y)
         assert_allclose(partial_trace(m, (2, 3), "A"), np.trace(y) * x, atol=1e-12)
         assert_allclose(partial_trace(m, (2, 3), "B"), np.trace(x) * y, atol=1e-12)
 
@@ -133,9 +180,9 @@ class TestPartialTranspose:
     def test_on_kron_transposes_one_factor(self):
         x = random_hermitian(2, 3)
         y = random_hermitian(2, 4)
-        m = kron(x, y)
-        assert_allclose(partial_transpose(m, (2, 2), "B"), kron(x, y.T), atol=1e-13)
-        assert_allclose(partial_transpose(m, (2, 2), "A"), kron(x.T, y), atol=1e-13)
+        m = np.kron(x, y)
+        assert_allclose(partial_transpose(m, (2, 2), "B"), np.kron(x, y.T), atol=1e-13)
+        assert_allclose(partial_transpose(m, (2, 2), "A"), np.kron(x.T, y), atol=1e-13)
 
     def test_bell_spectrum(self):
         """The flipped maximally entangled pair is the swap operator over 2."""
@@ -199,7 +246,7 @@ class TestTensorProduct:
         s = random_rho((2, 2), 5)
         t = random_rho((2, 3), 6)
         big = tensor_product(s, t)
-        left = kron(partial_trace(s.mat, s.dims, "A"), partial_trace(t.mat, t.dims, "A"))
-        right = kron(partial_trace(s.mat, s.dims, "B"), partial_trace(t.mat, t.dims, "B"))
+        left = np.kron(partial_trace(s.mat, s.dims, "A"), partial_trace(t.mat, t.dims, "A"))
+        right = np.kron(partial_trace(s.mat, s.dims, "B"), partial_trace(t.mat, t.dims, "B"))
         assert_allclose(partial_trace(big.mat, big.dims, "A"), left, atol=1e-12)
         assert_allclose(partial_trace(big.mat, big.dims, "B"), right, atol=1e-12)

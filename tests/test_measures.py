@@ -14,13 +14,11 @@ from ncorr import measures
 from ncorr import (
     BipartiteDims,
     CapabilityError,
-    Collection,
     DensityMatrix,
     DomainError,
     StateSpec,
     bell,
     build,
-    collection_discrepancy,
     decompose,
     entropy_of_entanglement,
     kappa,
@@ -126,38 +124,6 @@ class TestSurprisalTerm:
         assert surprisal_term(x, y, quota) >= 0.0
 
 
-class TestCollections:
-    def test_from_groups_uses_sums_as_quotas(self):
-        c = Collection.from_groups([[0.25, 0.25], [0.5]])
-        assert c.quotas == (0.5, 0.5)
-
-    def test_rejects_quota_count_mismatch(self):
-        with pytest.raises(DomainError, match="groups but"):
-            Collection(groups=((0.5,),), quotas=(0.5, 0.5))
-
-    def test_discrepancy_matches_manual_sum(self):
-        x = Collection.from_groups([[0.25, 0.25], [0.3, 0.2]])
-        y = Collection(groups=((0.0, 0.5), (0.3, 0.0)), quotas=(0.5, 0.5))
-        want = (
-            surprisal_term(0.25, 0.0, 0.5)
-            + surprisal_term(0.25, 0.5, 0.5)
-            + surprisal_term(0.2, 0.0, 0.5)
-        )
-        assert collection_discrepancy(x, y) == pytest.approx(want, abs=1e-15)
-
-    def test_rejects_group_count_mismatch(self):
-        x = Collection.from_groups([[0.5], [0.5]])
-        y = Collection.from_groups([[1.0]])
-        with pytest.raises(DomainError, match="group count"):
-            collection_discrepancy(x, y)
-
-    def test_rejects_group_size_mismatch(self):
-        x = Collection.from_groups([[0.5, 0.5]])
-        y = Collection.from_groups([[1.0]])
-        with pytest.raises(DomainError, match="size mismatch"):
-            collection_discrepancy(x, y)
-
-
 class TestTruncationMeasure:
     def test_side_argument_checked(self):
         comps = decompose(sigma())
@@ -217,6 +183,16 @@ class TestTruncationMeasure:
     def test_bell_hits_the_dimension_bound(self):
         for n in (2, 3, 4):
             assert truncation_measure(bell(n)).value == pytest.approx(math.log2(n), abs=1e-12)
+
+    def test_reduced_state_of_an_accepted_state_is_not_rechecked(self):
+        """Validation accepts eigenvalues of -0.9e-10 (tol.psd = 1e-10), and
+        tracing out B adds three of them into one reduced eigenvalue of
+        -2.7e-10. That is rounding of a valid state, not a new input."""
+        mat = np.diag([0.4, 0.3, 0.3, -0.9e-10, -0.9e-10, -0.9e-10])
+        rho = DensityMatrix(mat / mat.trace(), (2, 3))
+        report = truncation_measure(rho)
+        assert report.value == 0.0
+        assert report.entropy_a == pytest.approx(0.0, abs=1e-9)
 
 
 class TestPartitionMeasure:

@@ -22,7 +22,6 @@ from ncorr import (
     kappa,
     kappa_eigenvalues,
     ket,
-    kron,
     phi_p,
     plus_ket,
     projector,
@@ -199,7 +198,7 @@ class TestRandomGenerators:
     def test_random_classical_witness(self, seed):
         """The returned basis diagonalizes the state with the returned weights."""
         sample = random_classical((2, 3), seed=seed)
-        u = kron(sample.basis_a, sample.basis_b)
+        u = np.kron(sample.basis_a, sample.basis_b)
         rotated = u.conj().T @ sample.state.mat @ u
         off = rotated - np.diag(np.diagonal(rotated))
         assert np.abs(off).max() < 1e-10
