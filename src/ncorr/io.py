@@ -2,13 +2,15 @@
 
 State files are JSON with explicit real/imaginary pairs; all floating-point
 numbers in files, reports and CSV output are rendered with 17 significant
-digits so a parsed value is bit-identical to the emitted one.
+digits so a parsed value is bit-identical to the emitted one. The one
+exception is -0.0: it is written "-0", which JSON reads as the integer 0.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -57,11 +59,18 @@ def dumps(obj) -> str:
 
 def state_file_text(state: DensityMatrix) -> str:
     """Serialize a state to the on-disk JSON schema."""
-    matrix = [
-        [[z.real, z.imag] for z in row]
-        for row in state.mat
-    ]
-    return dumps({"dims": [state.dims.dA, state.dims.dB], "matrix": matrix})
+    return _state_text(state.mat, state.dims)
+
+
+def _state_text(mat: np.ndarray, dims: BipartiteDims) -> str:
+    """The text dumps gives for {"dims": ..., "matrix": [re, im] pairs of mat},
+    filled in one % operation. %.17g renders a double as format_float does;
+    mat must be finite, as a validated state is, since nothing here checks."""
+    d = dims.total
+    entries = ",\n".join(["      [%.17g, %.17g]"] * d)
+    rows = ",\n".join(["    [\n" + entries + "\n    ]"] * d)
+    template = f'{{\n  "dims": [{dims.dA}, {dims.dB}],\n  "matrix": [\n{rows}\n  ]\n}}\n'
+    return template % tuple(np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64).ravel().tolist())
 
 
 def write_state_file(path: str, state: DensityMatrix) -> None:
@@ -92,7 +101,24 @@ def parse_state_text(text: str) -> DensityMatrix:
     rows = doc["matrix"]
     if not isinstance(rows, list) or len(rows) != d:
         raise MalformedInputError(f"'matrix' must have {d} rows, got {len(rows) if isinstance(rows, list) else type(rows).__name__}")
-    mat = np.zeros((d, d), dtype=np.complex128)
+    return DensityMatrix(_matrix_from_rows(rows, d), dims)
+
+
+def _matrix_from_rows(rows: list, d: int) -> np.ndarray:
+    """The d x d complex matrix of d rows of [re, im] pairs, converted in one
+    pass. JSON numbers arrive as int or float; bool, None, strings and lists
+    nested too deep or too shallow fail the shape or type check."""
+    try:
+        arr = np.array(rows, dtype=object)
+        if arr.shape == (d, d, 2) and set(map(type, arr.flat)) <= {int, float}:
+            return arr.astype(np.float64).view(np.complex128)[..., 0]
+    except (ValueError, OverflowError):
+        pass
+    _reject_rows(rows, d)
+
+
+def _reject_rows(rows: list, d: int) -> NoReturn:
+    """Name the first malformed row or entry, in reading order."""
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != d:
             raise MalformedInputError(f"matrix row {i} must have {d} entries, got {len(row) if isinstance(row, list) else type(row).__name__}")
@@ -103,8 +129,11 @@ def parse_state_text(text: str) -> DensityMatrix:
                 or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
             ):
                 raise MalformedInputError(f"matrix entry ({i}, {j}) must be a [re, im] pair of numbers")
-            mat[i, j] = complex(entry[0], entry[1])
-    return DensityMatrix(mat, dims)
+            try:
+                complex(*entry)
+            except OverflowError:
+                raise MalformedInputError(f"matrix entry ({i}, {j}) is an integer too large for a double") from None
+    raise MalformedInputError(f"'matrix' must be {d} rows of {d} [re, im] pairs")
 
 
 def read_state_file(path: str) -> DensityMatrix:
@@ -146,6 +175,8 @@ class Report:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise MalformedInputError(f"invalid report: {e.msg} at line {e.lineno} column {e.colno}") from e
+        if not isinstance(doc, dict):
+            raise MalformedInputError("report must be a JSON object")
         for key in ("version", "kind", "dims", "tolerances"):
             if key not in doc:
                 raise MalformedInputError(f"report is missing the {key!r} field")
@@ -161,4 +192,5 @@ class Report:
 
 def matrix_as_pairs(mat: np.ndarray) -> list:
     """Complex matrix to nested [re, im] lists for report embedding."""
-    return [[[z.real, z.imag] for z in row] for row in np.asarray(mat)]
+    mat = np.asarray(mat)
+    return np.stack((mat.real, mat.imag), axis=-1).tolist()

@@ -59,10 +59,12 @@ class DensityMatrix:
     """Validated bipartite density matrix: finite, Hermitian, unit trace, positive semidefinite.
 
     mat is a read-only complex128 copy of the input, so the cached, read-only
-    eigensystems cannot go stale: eig of mat, and reduced_eig, {"A": ..., "B":
-    ...} of partial_trace(mat, dims, side). Each is computed on first use and
-    read as it is, with no second Hermiticity check. Validation needs only
-    eigenvalues, so a state that is never analysed pays for no eigenvectors.
+    eigensystems cannot go stale: eig of mat, reduced_eig, {"A": ..., "B":
+    ...} of partial_trace(mat, dims, side), and ppt_min_eig, the smallest
+    eigenvalue of partial_transpose(mat, dims, "B"). Each is computed on first
+    use and read as it is, with no second Hermiticity check. Validation needs
+    only eigenvalues, so a state that is never analysed pays for no
+    eigenvectors.
     """
 
     mat: np.ndarray
@@ -98,6 +100,10 @@ class DensityMatrix:
     @cached_property
     def reduced_eig(self) -> dict[str, EigenSystem]:
         return {side: _eigensystem(partial_trace(self.mat, self.dims, side)) for side in "AB"}
+
+    @cached_property
+    def ppt_min_eig(self) -> float:
+        return float(np.linalg.eigvalsh(partial_transpose(self.mat, self.dims, "B"))[0])
 
 
 def _blocks(mat: np.ndarray, dims) -> tuple[BipartiteDims, np.ndarray]:

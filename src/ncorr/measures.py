@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import CapabilityError, DomainError, MalformedInputError
-from .linalg import DensityMatrix, _as_dims, _read_only, hermitian_eig, partial_transpose
+from .linalg import DensityMatrix, _as_dims, _read_only, hermitian_eig
 from .spectral import TruncatedComponent, decompose
 
 _QUOTA_SLACK = 1e-9  # relative headroom over the quota before x is out of domain
@@ -317,4 +317,4 @@ def entropy_of_entanglement(vec: np.ndarray, dims, tol: Tolerances = DEFAULT_TOL
 
 def ppt_min_eigenvalue(rho: DensityMatrix) -> float:
     """Minimum eigenvalue of the partial transpose; negative certifies entanglement."""
-    return float(np.linalg.eigvalsh(partial_transpose(rho.mat, rho.dims, "B"))[0])
+    return rho.ppt_min_eig

@@ -8,6 +8,7 @@ shares no code with the library. An agreement failure therefore points at
 the library, not at a common helper.
 """
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -262,3 +263,57 @@ def dense_component_spectra(cluster, dims, tol):
         w = np.linalg.eigh(reduced)[0]
         spectra.append(np.sort(w[w > tol.rank])[::-1])
     return tuple(spectra)
+
+
+def per_entry_state_file_text(mat, dims):
+    """The state-file serializer before it filled one template: a nested list
+    of [re, im] pairs through the library's generic dumps, so each number is
+    rendered by format_float. The library's state_file_text must give the
+    same text."""
+    from ncorr.io import dumps
+
+    matrix = [[[z.real, z.imag] for z in row] for row in mat]
+    return dumps({"dims": [dims.dA, dims.dB], "matrix": matrix})
+
+
+def per_entry_parse_state_text(text):
+    """The state-file parser before it converted the matrix in one pass: one
+    Python step per entry. The library's parse_state_text must give a
+    bit-identical matrix and, on a malformed file, the same message."""
+    from ncorr.errors import MalformedInputError
+    from ncorr.linalg import BipartiteDims, DensityMatrix
+
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise MalformedInputError(f"invalid state file: {e.msg} at line {e.lineno} column {e.colno}") from e
+    if not isinstance(doc, dict):
+        raise MalformedInputError("state file must be a JSON object")
+    for key in ("dims", "matrix"):
+        if key not in doc:
+            raise MalformedInputError(f"state file is missing the {key!r} field")
+    dims_field = doc["dims"]
+    if (
+        not isinstance(dims_field, list)
+        or len(dims_field) != 2
+        or not all(isinstance(d, int) and d >= 1 for d in dims_field)
+    ):
+        raise MalformedInputError(f"'dims' must be a pair of positive integers, got {dims_field!r}")
+    dims = BipartiteDims(dims_field[0], dims_field[1])
+    d = dims.total
+    rows = doc["matrix"]
+    if not isinstance(rows, list) or len(rows) != d:
+        raise MalformedInputError(f"'matrix' must have {d} rows, got {len(rows) if isinstance(rows, list) else type(rows).__name__}")
+    mat = np.zeros((d, d), dtype=np.complex128)
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != d:
+            raise MalformedInputError(f"matrix row {i} must have {d} entries, got {len(row) if isinstance(row, list) else type(row).__name__}")
+        for j, entry in enumerate(row):
+            if (
+                not isinstance(entry, list)
+                or len(entry) != 2
+                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
+            ):
+                raise MalformedInputError(f"matrix entry ({i}, {j}) must be a [re, im] pair of numbers")
+            mat[i, j] = complex(entry[0], entry[1])
+    return DensityMatrix(mat, dims)

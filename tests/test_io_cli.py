@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import ncorr
 from ncorr import (
+    BipartiteDims,
     DensityMatrix,
     MalformedInputError,
     bell,
@@ -26,22 +27,31 @@ from ncorr import (
     random_classical,
     random_density,
     sigma,
+    sigma_dprime,
+    sigma_prime,
     tau,
     truncation_measure,
     varsigma,
+    xi,
+    xi_prime,
+    zeta,
+    zeta_prime,
 )
 from ncorr.cli import main, run_bench, run_sweep
 from ncorr.io import (
     Report,
+    _matrix_from_rows,
+    _state_text,
     dumps,
     format_float,
+    matrix_as_pairs,
     parse_state_text,
     read_state_file,
     state_file_text,
     write_state_file,
 )
 
-from oracles import G_SIGMA, M_VARSIGMA, m_pure
+from oracles import G_SIGMA, M_VARSIGMA, m_pure, per_entry_parse_state_text, per_entry_state_file_text
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -65,6 +75,44 @@ class TestFormatFloat:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(MalformedInputError, match="non-finite"):
             format_float(bad)
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.data())
+    def test_state_text_renders_each_double_as_format_float(self, dA, dB, data):
+        """The one-template state text equals the per-entry dumps of any finite
+        complex matrix, valid state or not, and parses back bit for bit as the
+        per-entry complex() did. The one exception is the sign of a zero:
+        -0.0 is written "-0", which JSON reads as the integer 0."""
+        d = dA * dB
+        doubles = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_DOUBLES)
+        parts = data.draw(st.lists(doubles, min_size=2 * d * d, max_size=2 * d * d))
+        mat = np.array(parts).view(np.complex128).reshape(d, d)
+        dims = BipartiteDims(dA, dB)
+        text = _state_text(mat, dims)
+        assert text == per_entry_state_file_text(mat, dims)
+        rows = json.loads(text)["matrix"]
+        per_entry = np.array([[complex(re, im) for re, im in row] for row in rows])
+        assert _bits(_matrix_from_rows(rows, d)) == _bits(per_entry) == _bits(mat + 0.0)
+
+
+_EDGE_DOUBLES = (
+    -0.0,
+    5e-324,
+    -2.2250738585072009e-308,
+    2.2250738585072014e-308,
+    1e308,
+    -1e308,
+    1.7976931348623157e308,
+    2.0**53 + 2,
+    -(2.0**60),
+    2.0**64 + 2.0**12,
+    0.1,
+    1 / 3,
+)
+
+
+def _bits(a: np.ndarray) -> list:
+    """The raw bit patterns of a complex array, so that -0.0 != 0.0."""
+    return np.ascontiguousarray(a, dtype=np.complex128).view(np.uint64).tolist()
 
 
 class TestDumps:
@@ -128,6 +176,69 @@ class TestStateFiles:
         with pytest.raises(MalformedInputError, match=r"matrix entry \(0, 1\) must be a \[re, im\] pair"):
             parse_state_text(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # lengths 3 and 1: still 2 d^2 numbers in all
+            [[[1, 0, 0], [0]], [[0, 0], [0, 0]]],
+            [[[1, 0], [0, 0]], [[0], [0, 0, 0]]],
+            # one entry, then every entry, nested a level deeper
+            [[[1, 0], [0, 0]], [[0, 0], [[0, 0], [0, 0]]]],
+            [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]],
+            # a row that is a dict or a string of the right length
+            [{"re": 1, "im": 0}, [[0, 0], [0, 0]]],
+            [[[1, 0], [0, 0]], "ab"],
+            [[[1, 0], [0, 0]], 7],
+            # bool, None and string entries, and one bad number in a pair
+            [[[1, 0], [0, 0]], [[0, 0], [False, 0]]],
+            [[[1, 0], None], [[0, 0], [0, 0]]],
+            [[[1, 0], [0, 0]], [[0, "0"], [0, 0]]],
+            [[[1, 0], [0, None]], [[0, 0], [0, 0]]],
+            [[[1, 0], [0, [0]]], [[0, 0], [0, 0]]],
+        ],
+    )
+    def test_malformed_matrix_named_as_per_entry_parser_names_it(self, rows):
+        """A matrix that fails the one-pass shape and type check falls back to
+        the per-entry walk, which names the first bad row or entry exactly as
+        the per-entry parser in tests/oracles.py does."""
+        text = json.dumps({"dims": [1, 2], "matrix": rows})
+        with pytest.raises(MalformedInputError) as want:
+            per_entry_parse_state_text(text)
+        with pytest.raises(MalformedInputError) as got:
+            parse_state_text(text)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("matrix ")
+
+    @pytest.mark.parametrize("literal", ["1" + "0" * 400, "-" + "9" * 400])
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_integer_too_large_for_a_double_rejected(self, literal, part):
+        rows = [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]
+        rows[1][0][part] = "BIG"
+        text = json.dumps({"dims": [1, 2], "matrix": rows}).replace('"BIG"', literal)
+        with pytest.raises(MalformedInputError, match=r"matrix entry \(1, 0\) is an integer too large for a double"):
+            parse_state_text(text)
+
+    def test_one_pass_io_equals_per_entry_reference(self):
+        """state_file_text and parse_state_text give the text and the bits of
+        the per-entry serializer and parser in tests/oracles.py."""
+        checked = 0
+        for rho in _cross_check_states():
+            text = state_file_text(rho)
+            assert text == per_entry_state_file_text(rho.mat, rho.dims)
+            back = parse_state_text(text)
+            assert back.dims == rho.dims
+            assert _bits(back.mat) == _bits(per_entry_parse_state_text(text).mat) == _bits(rho.mat)
+            checked += 1
+        assert checked >= 250
+
+    def test_integer_literals_parse_as_the_per_entry_parser_reads_them(self):
+        """JSON integers, exact or rounded to a double, convert as complex() did."""
+        big = 2**53 + 1
+        text = json.dumps({"dims": [1, 2], "matrix": [[[1, 0], [big, -big]], [[big, big], [0, 0]]]})
+        rows = json.loads(text)["matrix"]
+        want = np.array([[1, complex(big, -big)], [complex(big, big), 0]])
+        assert _bits(_matrix_from_rows(rows, 2)) == _bits(want)
+
     def test_physics_validation_applies(self):
         doc = {
             "dims": [1, 2],
@@ -170,6 +281,38 @@ class TestReport:
     def test_missing_key(self):
         with pytest.raises(MalformedInputError, match="missing the 'kind' field"):
             Report.from_json('{"version": "0"}')
+
+    @pytest.mark.parametrize("text", ["1", "null", '"report"', '["version", "kind", "dims", "tolerances"]'])
+    def test_not_an_object(self, text):
+        with pytest.raises(MalformedInputError, match="report must be a JSON object"):
+            Report.from_json(text)
+
+
+def test_matrix_as_pairs_matches_per_entry_pairs():
+    rng = np.random.default_rng(3)
+    mat = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    mat[0, 0] = complex(-0.0, 5e-324)
+    for m in (mat, mat.real, np.eye(2)):
+        want = [[[z.real, z.imag] for z in row] for row in m]
+        assert dumps(matrix_as_pairs(m)) == dumps(want)
+
+
+def _shapes(max_total):
+    return [(dA, dB) for dA in range(1, max_total + 1) for dB in range(1, max_total // dA + 1)]
+
+
+def _cross_check_states():
+    yield from (varsigma(), sigma(), sigma_prime(), sigma_dprime(), tau(), zeta(), zeta_prime(), xi(), xi_prime())
+    yield from (phi_p(p) for p in np.linspace(0, 1, 21))
+    yield from (bell(n) for n in range(2, 13))
+    for dA, dB in _shapes(12):
+        d = dA * dB
+        for seed in range(2):
+            yield random_density((dA, dB), seed=seed)
+            yield random_classical((dA, dB), seed=seed).state
+            if d > 1:
+                yield random_density((dA, dB), rank=1 + seed % (d - 1), seed=seed)
+    yield random_density((12, 12), seed=5)
 
 
 def _non_finite_text(literal: str, dims, offdiagonal: bool) -> str:
@@ -287,6 +430,12 @@ class TestCliCompute:
         path.write_text(_non_finite_text(literal, dims, offdiagonal))
         assert main(["compute", "--in", str(path)]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    def test_integer_too_large_for_a_double_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text('{"dims": [1, 1], "matrix": [[[1%s, 0]]]}' % ("0" * 400))
+        assert main(["compute", "--in", str(path)]) == 2
+        assert "matrix entry (0, 0) is an integer too large for a double" in capsys.readouterr().err
 
     def test_partition_guard_exits_3(self, tmp_path, capsys):
         path = _write_state(tmp_path, "big", random_density((5, 5), seed=3))

@@ -129,6 +129,23 @@ class TestCachedEigensystems:
         classify(rho)
         assert shapes.count((6, 6)) == 1
 
+    def test_one_partial_transpose_eigvalsh_per_state(self, monkeypatch):
+        """M's ppt_min_eig and classify's NPT test share one d x d eigvalsh;
+        validation's own eigvalsh ran when the state was built."""
+        rho = random_rho((2, 3), 5)
+        want = float(np.linalg.eigvalsh(partial_transpose(rho.mat, rho.dims, "B"))[0])
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert truncation_measure(rho).ppt_min_eig == want
+        assert next(o.witness for o in classify(rho).evidence if o.test == "npt") == want
+        assert shapes.count((6, 6)) == 1
+
 
 class TestPartialTrace:
     def test_traces_to_reduced_of_kron(self):
