@@ -105,53 +105,35 @@ def cmd_state(args) -> int:
     return 0
 
 
-def _measure_section(report: MeasureReport, which: str) -> dict:
-    section: dict = {}
-    if which in ("M", "all"):
-        section.update(
+def _measure_section(report: MeasureReport) -> dict:
+    return {
+        "M": report.value,
+        "M_A": report.side_a,
+        "M_B": report.side_b,
+        "per_component": [
             {
-                "M": report.value,
-                "M_A": report.side_a,
-                "M_B": report.side_b,
-                "per_component": [
-                    {
-                        "eta": c.eta,
-                        "multiplicity": c.multiplicity,
-                        "contribution_A": c.side_a,
-                        "contribution_B": c.side_b,
-                    }
-                    for c in report.per_component
-                ],
-                "entropy_A": report.entropy_a,
-                "entropy_B": report.entropy_b,
-                "ppt_min_eigenvalue": report.ppt_min_eig,
+                "eta": c.eta,
+                "multiplicity": c.multiplicity,
+                "contribution_A": c.side_a,
+                "contribution_B": c.side_b,
             }
-        )
-    if which in ("G", "all") and report.partition_value is not None:
-        section["G"] = report.partition_value
-        section["F_A"] = report.partition_side_a
-        section["F_B"] = report.partition_side_b
-    return section
+            for c in report.per_component
+        ],
+        "entropy_A": report.entropy_a,
+        "entropy_B": report.entropy_b,
+        "ppt_min_eigenvalue": report.ppt_min_eig,
+    }
 
 
 def cmd_compute(args) -> int:
     tol = _tolerances(args)
     state = read_state_file(args.infile)
-    if args.which in ("M", "all"):
-        report = truncation_measure(state, tol)
-    else:
-        report = None
+    report = truncation_measure(state, tol) if args.which in ("M", "all") else None
+    section = {} if report is None else _measure_section(report)
     if args.which in ("G", "all"):
         f_a = partition_discrepancy(state, "A", args.max_partition_dim, tol)
         f_b = partition_discrepancy(state, "B", args.max_partition_dim, tol)
-        g = max(f_a, f_b)
-        if report is None:
-            section = {"G": g, "F_A": f_a, "F_B": f_b}
-        else:
-            report = replace(report, partition_value=g, partition_side_a=f_a, partition_side_b=f_b)
-            section = _measure_section(report, "all")
-    else:
-        section = _measure_section(report, "M")
+        section.update(G=max(f_a, f_b), F_A=f_a, F_B=f_b)
     if args.json:
         doc = Report(
             version=__version__,

@@ -1,17 +1,20 @@
 """Numerical tolerance configuration shared across the library."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
+
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Named numerical thresholds; every check in the library reads one of these.
+    """Named numerical thresholds, each finite and >= 0; every check in the library reads one of these.
 
     herm      max |m - m^dag| entry accepted as Hermitian
     trace     |tr(rho) - 1| accepted as unit trace
     psd       eigenvalues >= -psd accepted as positive semidefinite
-    recon     Frobenius residual accepted for eigendecomposition rebuilds
+    recon     read by no check; kept because every report, the golden files included, prints it
     orth      orthonormality / overlap slack for basis vectors
     deg       eigenvalue gap at or below which values share one eigenspace
     zero      cluster representative at or below this is treated as zero
@@ -34,6 +37,11 @@ class Tolerances:
     offdiag: float = 1e-8
     comm: float = 1e-8
     measure: float = 1e-7
+
+    def __post_init__(self):
+        for name, value in self.as_dict().items():
+            if not (math.isfinite(value) and value >= 0):
+                raise DomainError(f"tolerance {name} must be finite and >= 0, got {value}")
 
     def as_dict(self) -> dict[str, float]:
         """Field-name to value mapping, in declaration order."""

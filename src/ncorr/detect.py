@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .linalg import DensityMatrix, partial_trace
-from .measures import _truncation_values, ppt_min_eigenvalue, schmidt_decomposition
+from .linalg import DensityMatrix, commutator_fro_norm
+from .measures import ppt_min_eigenvalue, schmidt_decomposition, truncation_measure
 from .states import projector
 
 CLASSICAL = "CLASSICAL"
@@ -266,10 +266,8 @@ def detect_commutator(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) 
     """Necessary condition: a classical state commutes with both reduced states."""
     name = "commutator"
     dims = rho.dims
-    ra = partial_trace(rho.mat, dims, "A")
-    rb = partial_trace(rho.mat, dims, "B")
-    ca = float(np.linalg.norm(rho.mat @ np.kron(ra, np.eye(dims.dB)) - np.kron(ra, np.eye(dims.dB)) @ rho.mat, "fro"))
-    cb = float(np.linalg.norm(rho.mat @ np.kron(np.eye(dims.dA), rb) - np.kron(np.eye(dims.dA), rb) @ rho.mat, "fro"))
+    ca = commutator_fro_norm(rho.mat, np.kron(rho.reduced["A"], np.eye(dims.dB)))
+    cb = commutator_fro_norm(rho.mat, np.kron(np.eye(dims.dA), rho.reduced["B"]))
     witness = max(ca, cb)
     if witness > tol.comm:
         side = "A" if ca >= cb else "B"
@@ -304,7 +302,7 @@ def classify(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> Detect
     fell, so the trail never hides a later test's result.
     """
     outcomes = [d(rho, tol) for d in _DETECTORS]
-    m = _truncation_values(rho, tol)[0]  # M alone: the witness reads no entropy or PPT
+    m = truncation_measure(rho, tol).value
     outcomes.append(
         TestOutcome(
             "measure-witness",

@@ -6,7 +6,7 @@ produced by numpy.kron.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -58,18 +58,20 @@ def _eigensystem(mat: np.ndarray) -> EigenSystem:
 class DensityMatrix:
     """Validated bipartite density matrix: finite, Hermitian, unit trace, positive semidefinite.
 
-    mat is a read-only complex128 copy of the input, so the cached, read-only
-    eigensystems cannot go stale: eig of mat, reduced_eig, {"A": ..., "B":
-    ...} of partial_trace(mat, dims, side), and ppt_min_eig, the smallest
-    eigenvalue of partial_transpose(mat, dims, "B"). Each is computed on first
-    use and read as it is, with no second Hermiticity check. Validation needs
-    only eigenvalues, so a state that is never analysed pays for no
-    eigenvectors.
+    mat is a read-only complex128 copy of the input, so the per-state results
+    cached on it cannot go stale: eig of mat; reduced, {"A": ..., "B": ...}
+    of partial_trace(mat, dims, side), and reduced_eig, their eigensystems;
+    ppt_min_eig, the smallest eigenvalue of partial_transpose(mat, dims, "B");
+    and _measure_reports, the MeasureReport truncation_measure built for each
+    Tolerances. Each is computed on first use and read as it is, with no
+    second Hermiticity check; the arrays are read-only. Validation needs only
+    eigenvalues, so a state that is never analysed pays for no eigenvectors.
     """
 
     mat: np.ndarray
     dims: BipartiteDims
     tol: InitVar[Tolerances | None] = None
+    _measure_reports: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self, tol: Tolerances | None):
         tol = tol or DEFAULT_TOLERANCES
@@ -98,8 +100,12 @@ class DensityMatrix:
         return _eigensystem(self.mat)
 
     @cached_property
+    def reduced(self) -> dict[str, np.ndarray]:
+        return {side: _read_only(partial_trace(self.mat, self.dims, side)) for side in "AB"}
+
+    @cached_property
     def reduced_eig(self) -> dict[str, EigenSystem]:
-        return {side: _eigensystem(partial_trace(self.mat, self.dims, side)) for side in "AB"}
+        return {side: _eigensystem(r) for side, r in self.reduced.items()}
 
     @cached_property
     def ppt_min_eig(self) -> float:

@@ -97,7 +97,7 @@ class ComponentContribution(NamedTuple):
 
 @dataclass(frozen=True)
 class MeasureReport:
-    """Measure values for one state; partition fields stay None unless requested."""
+    """Measure values for one state."""
 
     value: float
     side_a: float
@@ -106,38 +106,32 @@ class MeasureReport:
     entropy_a: float
     entropy_b: float
     ppt_min_eig: float
-    partition_value: float | None = None
-    partition_side_a: float | None = None
-    partition_side_b: float | None = None
-
-
-def _truncation_values(
-    rho: DensityMatrix, tol: Tolerances
-) -> tuple[float, float, float, tuple[ComponentContribution, ...]]:
-    """M, M_A, M_B and the per-component contributions: the fields of
-    MeasureReport that need the truncated components, and nothing else."""
-    components = decompose(rho, tol)
-    total_a, contribs_a = truncation_measure_side(components, "A", tol)
-    total_b, contribs_b = truncation_measure_side(components, "B", tol)
-    per_component = tuple(
-        ComponentContribution(c.eta, c.multiplicity, ca, cb)
-        for c, ca, cb in zip(components, contribs_a, contribs_b)
-    )
-    return (total_a + total_b) / 2, total_a, total_b, per_component
 
 
 def truncation_measure(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> MeasureReport:
-    """Truncation measure of a state: mean of the two one-sided values."""
-    value, total_a, total_b, per_component = _truncation_values(rho, tol)
-    return MeasureReport(
-        value=value,
-        side_a=total_a,
-        side_b=total_b,
-        per_component=per_component,
-        entropy_a=_entropy(rho.reduced_eig["A"].values, tol),
-        entropy_b=_entropy(rho.reduced_eig["B"].values, tol),
-        ppt_min_eig=ppt_min_eigenvalue(rho),
-    )
+    """Truncation measure of a state: mean of the two one-sided values.
+
+    The report is built once per state and tolerances and kept on rho, so a
+    second call with equal tolerances returns the same object.
+    """
+    report = rho._measure_reports.get(tol)
+    if report is None:
+        components = decompose(rho, tol)
+        total_a, contribs_a = truncation_measure_side(components, "A", tol)
+        total_b, contribs_b = truncation_measure_side(components, "B", tol)
+        report = rho._measure_reports[tol] = MeasureReport(
+            value=(total_a + total_b) / 2,
+            side_a=total_a,
+            side_b=total_b,
+            per_component=tuple(
+                ComponentContribution(c.eta, c.multiplicity, ca, cb)
+                for c, ca, cb in zip(components, contribs_a, contribs_b)
+            ),
+            entropy_a=_entropy(rho.reduced_eig["A"].values, tol),
+            entropy_b=_entropy(rho.reduced_eig["B"].values, tol),
+            ppt_min_eig=ppt_min_eigenvalue(rho),
+        )
+    return report
 
 
 def _xlog2x(v: float) -> float:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
@@ -242,13 +243,21 @@ def _param(params: Mapping[str, float], key: str, default=None):
     return default
 
 
+def _int_param(params: Mapping[str, float], key: str, default=None) -> int:
+    """An integer parameter, given as an int or as a finite, integral float."""
+    value = _param(params, key, default)
+    if isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer()):
+        return int(value)
+    raise MalformedInputError(f"parameter {key!r} must be an integer, got {value!r}")
+
+
 def _dims(params: Mapping[str, float]) -> BipartiteDims:
-    return BipartiteDims(int(_param(params, "dA", 2)), int(_param(params, "dB", 2)))
+    return BipartiteDims(_int_param(params, "dA", 2), _int_param(params, "dB", 2))
 
 
 def _random(params: Mapping[str, float]) -> DensityMatrix:
-    rank = params.get("rank")
-    return random_density(_dims(params), None if rank is None else int(rank), int(_param(params, "seed", 0)))
+    rank = _int_param(params, "rank") if "rank" in params else None
+    return random_density(_dims(params), rank, _int_param(params, "seed", 0))
 
 
 _BUILDERS = {
@@ -258,14 +267,14 @@ _BUILDERS = {
     "sigma_dprime": lambda p: sigma_dprime(),
     "tau": lambda p: tau(),
     "zeta": lambda p: zeta(),
-    "zeta_prime": lambda p: zeta_prime(int(_param(p, "seed_a", 0)), int(_param(p, "seed_b", 1))),
+    "zeta_prime": lambda p: zeta_prime(_int_param(p, "seed_a", 0), _int_param(p, "seed_b", 1)),
     "xi": lambda p: xi(),
     "xi_prime": lambda p: xi_prime(),
-    "bell": lambda p: bell(int(_param(p, "N", 2))),
+    "bell": lambda p: bell(_int_param(p, "N", 2)),
     "phi_p": lambda p: phi_p(float(_param(p, "p"))),
     "kappa": lambda p: kappa(*(float(_param(p, c, 0.0)) for c in ("c_x", "c_y", "c_z"))),
     "random": _random,
-    "random_classical": lambda p: random_classical(_dims(p), int(_param(p, "seed", 0))).state,
+    "random_classical": lambda p: random_classical(_dims(p), _int_param(p, "seed", 0)).state,
 }
 
 CATALOG_NAMES = tuple(_BUILDERS)

@@ -364,6 +364,18 @@ class TestCliState:
         assert main(["state", "--name", "phi_p", "--param", "p=2"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name,param", [("random", "dA=nan"), ("random", "seed=nan"), ("bell", "N=inf"), ("random", "dA=2.7")]
+    )
+    def test_non_integral_integer_param_exits_2(self, capsys, name, param):
+        assert main(["state", "--name", name, "--param", param]) == 2
+        key = param.split("=")[0]
+        assert f"parameter '{key}' must be an integer" in capsys.readouterr().err
+
+    def test_integral_float_param_accepted(self, capsys):
+        assert main(["state", "--name", "random", "--param", "dA=3.0", "--seed", "2"]) == 0
+        assert capsys.readouterr().out == state_file_text(random_density((3, 2), seed=2))
+
     def test_malformed_param_exits_2(self, capsys):
         assert main(["state", "--name", "phi_p", "--param", "p"]) == 2
         assert "--param expects KEY=VALUE" in capsys.readouterr().err
@@ -436,6 +448,26 @@ class TestCliCompute:
         path.write_text('{"dims": [1, 1], "matrix": [[[1%s, 0]]]}' % ("0" * 400))
         assert main(["compute", "--in", str(path)]) == 2
         assert "matrix entry (0, 0) is an integer too large for a double" in capsys.readouterr().err
+
+    def test_eps_flags_reach_the_report(self, tmp_path, capsys):
+        """--eps-deg 1e-5 merges the near-degenerate pairs; both flags show in the tolerance block."""
+        path = _write_state(tmp_path, "near", DensityMatrix(np.diag([0.1, 0.1 + 1e-6, 0.4 - 1e-6, 0.4]), (2, 2)))
+        runs = (([], 1e-9, 1e-9, [1, 1, 1, 1]), (["--eps-deg", "1e-5", "--eps-tie", "0.25"], 1e-5, 0.25, [2, 2]))
+        for flags, deg, tie, multiplicities in runs:
+            assert main(["compute", "--in", path, "--json"] + flags) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert (doc["tolerances"]["deg"], doc["tolerances"]["tie"]) == (deg, tie)
+            assert [c["multiplicity"] for c in doc["measure"]["per_component"]] == multiplicities
+
+    @pytest.mark.parametrize("command", ["compute", "detect"])
+    @pytest.mark.parametrize(
+        "flag,value", [("--eps-deg", "nan"), ("--eps-deg", "-1"), ("--eps-tie", "nan"), ("--eps-tie", "inf")]
+    )
+    def test_invalid_tolerance_flag_exits_2(self, tmp_path, capsys, command, flag, value):
+        path = _write_state(tmp_path, "sigma", sigma())
+        assert main([command, "--in", path, flag, value]) == 2
+        field = flag.removeprefix("--eps-")
+        assert f"tolerance {field} must be finite and >= 0" in capsys.readouterr().err
 
     def test_partition_guard_exits_3(self, tmp_path, capsys):
         path = _write_state(tmp_path, "big", random_density((5, 5), seed=3))

@@ -113,6 +113,34 @@ class TestCachedEigensystems:
             assert np.array_equal(rho.reduced_eig[side].vectors, want.eigenvectors)
             assert not rho.reduced_eig[side].vectors.flags.writeable
 
+    def test_reduced_states_are_kept_read_only(self):
+        rho = random_rho((2, 3), 4)
+        assert rho.reduced is rho.reduced
+        for side in "AB":
+            assert np.array_equal(rho.reduced[side], partial_trace(rho.mat, rho.dims, side))
+            with pytest.raises(ValueError, match="read-only"):
+                rho.reduced[side][0, 0] = 1.0
+
+    def test_measure_then_classify_costs_what_classify_alone_costs(self, monkeypatch):
+        """classify's measure witness reads the report truncation_measure kept
+        on the state, so running truncation_measure first adds no eigen call."""
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+
+            def counting(a, *args, _solver=getattr(np.linalg, name), **kwargs):
+                calls.append(np.shape(a))
+                return _solver(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        counts = []
+        for run in ((classify,), (truncation_measure, classify)):
+            rho = random_rho((2, 3), 5)
+            calls.clear()
+            for f in run:
+                f(rho)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
     def test_one_full_eigendecomposition_per_state(self, monkeypatch):
         """M, G and classify on one state share a single d x d eigh."""
         rho = random_rho((2, 3), 5)

@@ -1,6 +1,7 @@
 """Truncation measure, partition measure, and the scalar helpers under them."""
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,10 @@ from ncorr import (
     DensityMatrix,
     DomainError,
     StateSpec,
+    Tolerances,
     bell,
     build,
+    classify,
     decompose,
     entropy_of_entanglement,
     kappa,
@@ -124,6 +127,19 @@ class TestSurprisalTerm:
         assert surprisal_term(x, y, quota) >= 0.0
 
 
+class TestTolerances:
+    @pytest.mark.parametrize("field", ["deg", "tie", "recon"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-300])
+    def test_non_finite_or_negative_rejected(self, field, bad):
+        with pytest.raises(DomainError, match=f"tolerance {field} must be finite and >= 0"):
+            Tolerances(**{field: bad})
+        with pytest.raises(DomainError, match=f"tolerance {field}"):
+            replace(Tolerances(), **{field: bad})
+
+    def test_zero_accepted(self):
+        assert Tolerances(deg=0.0, tie=0.0).as_dict()["deg"] == 0.0
+
+
 class TestTruncationMeasure:
     def test_side_argument_checked(self):
         comps = decompose(sigma())
@@ -141,7 +157,21 @@ class TestTruncationMeasure:
         assert report.ppt_min_eig == pytest.approx(ppt_min_eigenvalue(tau()), abs=1e-12)
         assert report.entropy_a == pytest.approx(math.log2(3), abs=1e-9)
         assert report.entropy_b == pytest.approx(math.log2(3), abs=1e-9)
-        assert report.partition_value is None
+
+    def test_report_is_kept_on_the_state_per_tolerances(self):
+        """A second call returns the first report; other tolerances get their
+        own, and classify's witness reads the one for its tolerances."""
+        rho = DensityMatrix(np.diag([0.1, 0.1 + 1e-6, 0.4 - 1e-6, 0.4]), (2, 2))
+        report = truncation_measure(rho)
+        assert truncation_measure(rho, Tolerances()) is report
+        loose = Tolerances(deg=1e-5)
+        merged = truncation_measure(rho, loose)
+        assert merged is not report
+        assert truncation_measure(rho, loose) is merged
+        assert [c.multiplicity for c in report.per_component] == [1, 1, 1, 1]
+        assert [c.multiplicity for c in merged.per_component] == [2, 2]
+        witness = next(o.witness for o in classify(rho, loose).evidence if o.test == "measure-witness")
+        assert witness == merged.value
 
     def test_maximally_mixed_scores_zero(self):
         rho = DensityMatrix(np.eye(6) / 6, (2, 3))

@@ -259,6 +259,29 @@ class TestBuildDispatch:
         with pytest.raises(MalformedInputError, match="missing required parameter"):
             build(StateSpec("phi_p"))
 
+    @pytest.mark.parametrize(
+        "name,key,value",
+        [
+            ("random", "dA", math.nan),
+            ("random", "dB", 2.7),
+            ("random", "seed", math.nan),
+            ("random", "rank", 1.5),
+            ("random_classical", "dA", math.inf),
+            ("bell", "N", math.inf),
+            ("bell", "N", "3"),
+            ("zeta_prime", "seed_a", -math.inf),
+            ("zeta_prime", "seed_b", 0.5),
+        ],
+    )
+    def test_integer_parameters_must_be_integral(self, name, key, value):
+        with pytest.raises(MalformedInputError, match=f"parameter '{key}' must be an integer"):
+            build(StateSpec(name, {key: value}))
+
+    def test_integral_floats_accepted_as_integers(self):
+        got = build(StateSpec("random", {"dA": 3.0, "dB": 2.0, "seed": 4.0, "rank": 2.0}))
+        assert np.array_equal(got.mat, random_density((3, 2), rank=2, seed=4).mat)
+        assert build(StateSpec("bell", {"N": 3.0})).dims == BipartiteDims(3, 3)
+
     def test_zeta_prime_seeds_forwarded(self):
         got = build(StateSpec("zeta_prime", {"seed_a": 3, "seed_b": 4}))
         assert np.array_equal(got.mat, zeta_prime(3, 4).mat)
