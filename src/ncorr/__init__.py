@@ -29,7 +29,6 @@ from .linalg import (
     DensityMatrix,
     EigenSystem,
     commutator_fro_norm,
-    hermitian_eig,
     partial_trace,
     partial_transpose,
     tensor_product,

@@ -23,32 +23,33 @@ from .states import StateSpec, build, random_density
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a machine-readable report")
-    common.add_argument("--eps-deg", type=float, default=None, help="eigenvalue clustering gap")
-    common.add_argument("--eps-tie", type=float, default=None, help="rounding tie tolerance")
-    common.add_argument("--seed", type=int, default=0, help="seed for random state families")
+    tolerant = argparse.ArgumentParser(add_help=False)
+    tolerant.add_argument("--eps-deg", type=float, default=None, help="eigenvalue clustering gap")
+    tolerant.add_argument("--eps-tie", type=float, default=None, help="rounding tie tolerance")
+    reporting = argparse.ArgumentParser(add_help=False, parents=[tolerant])
+    reporting.add_argument("--json", action="store_true", help="emit a machine-readable report")
 
     parser = argparse.ArgumentParser(prog="ncorr", description="Nonclassical-correlation measures for bipartite states.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_state = sub.add_parser("state", parents=[common], help="write a catalog state to a state file")
+    p_state = sub.add_parser("state", help="write a catalog state to a state file")
     p_state.add_argument("--name", required=True, help="catalog state name")
     p_state.add_argument("--param", action="append", default=[], metavar="KEY=VALUE", help="state parameter")
+    p_state.add_argument("--seed", type=int, default=None, help="seed of a random state (same as --param seed=)")
     p_state.add_argument("--out", default=None, help="output path (stdout when omitted)")
     p_state.set_defaults(func=cmd_state)
 
-    p_compute = sub.add_parser("compute", parents=[common], help="compute measures for a state file")
+    p_compute = sub.add_parser("compute", parents=[reporting], help="compute measures for a state file")
     p_compute.add_argument("--in", dest="infile", required=True, help="state file path")
     p_compute.add_argument("--which", choices=["M", "G", "all"], default="M")
     p_compute.add_argument("--max-partition-dim", type=int, default=16, help="guard limit for the partition measure")
     p_compute.set_defaults(func=cmd_compute)
 
-    p_detect = sub.add_parser("detect", parents=[common], help="classify a state file")
+    p_detect = sub.add_parser("detect", parents=[reporting], help="classify a state file")
     p_detect.add_argument("--in", dest="infile", required=True, help="state file path")
     p_detect.set_defaults(func=cmd_detect)
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="sweep a state family parameter, writing CSV")
+    p_sweep = sub.add_parser("sweep", parents=[tolerant], help="sweep a state family parameter, writing CSV")
     p_sweep.add_argument("--family", required=True, choices=["phi_p", "kappa"])
     p_sweep.add_argument("--sweep-param", default=None, help="parameter to sweep (defaults per family)")
     p_sweep.add_argument("--start", type=float, required=True)
@@ -58,9 +59,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_bench = sub.add_parser("bench", parents=[common], help="time the truncation measure on growing dimensions")
+    p_bench = sub.add_parser("bench", parents=[tolerant], help="time the truncation measure on growing dimensions")
     p_bench.add_argument("--max-dim", type=int, default=16, help="largest per-side dimension (doubling from 2)")
     p_bench.add_argument("--trials", type=int, default=3)
+    p_bench.add_argument("--seed", type=int, default=0, help="seed of the timed random states")
     p_bench.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
     p_bench.set_defaults(func=cmd_bench)
 
@@ -95,8 +97,10 @@ def _tol_line(tol: Tolerances) -> str:
 
 def cmd_state(args) -> int:
     params = _parse_params(args.param)
-    if args.name in ("random", "random_classical"):
-        params.setdefault("seed", float(args.seed))
+    if args.seed is not None:
+        if "seed" in params:
+            raise MalformedInputError("give the seed once, as --seed or as --param seed=")
+        params["seed"] = args.seed
     state = build(StateSpec(args.name, params))
     if args.out:
         write_state_file(args.out, state)
@@ -128,11 +132,10 @@ def _measure_section(report: MeasureReport) -> dict:
 def cmd_compute(args) -> int:
     tol = _tolerances(args)
     state = read_state_file(args.infile)
-    report = truncation_measure(state, tol) if args.which in ("M", "all") else None
-    section = {} if report is None else _measure_section(report)
+    section = _measure_section(truncation_measure(state, tol)) if args.which in ("M", "all") else {}
     if args.which in ("G", "all"):
-        f_a = partition_discrepancy(state, "A", args.max_partition_dim, tol)
-        f_b = partition_discrepancy(state, "B", args.max_partition_dim, tol)
+        f_a = partition_discrepancy(state, "A", args.max_partition_dim)
+        f_b = partition_discrepancy(state, "B", args.max_partition_dim)
         section.update(G=max(f_a, f_b), F_A=f_a, F_B=f_b)
     if args.json:
         doc = Report(
@@ -145,21 +148,14 @@ def cmd_compute(args) -> int:
         sys.stdout.write(doc.to_json())
         return 0
     print(f"state: {args.infile} (dims {state.dims.dA}x{state.dims.dB})")
-    if report is not None:
-        print(f"M   = {report.value:.12g}")
-        print(f"M_A = {report.side_a:.12g}")
-        print(f"M_B = {report.side_b:.12g}")
-        print("per-eigenspace contributions:")
-        print("  eta            mult  side A          side B")
-        for c in report.per_component:
-            print(f"  {c.eta:<14.9g} {c.multiplicity:<5d} {c.side_a:<15.9g} {c.side_b:.9g}")
-        print(f"entropy_A = {report.entropy_a:.12g}")
-        print(f"entropy_B = {report.entropy_b:.12g}")
-        print(f"ppt_min_eigenvalue = {report.ppt_min_eig:.12g}")
-    if "G" in section:
-        print(f"G   = {section['G']:.12g}")
-        print(f"F_A = {section['F_A']:.12g}")
-        print(f"F_B = {section['F_B']:.12g}")
+    for key, value in section.items():
+        if key == "per_component":
+            print("per-eigenspace contributions:")
+            print("  eta            mult  side A          side B")
+            for c in value:
+                print("  {eta:<14.9g} {multiplicity:<5d} {contribution_A:<15.9g} {contribution_B:.9g}".format(**c))
+        else:
+            print(f"{key:<3} = {value:.12g}")
     print(_tol_line(tol))
     return 0
 
@@ -225,6 +221,8 @@ def run_sweep(
     if family not in _SWEEP_DEFAULT_PARAM:
         raise MalformedInputError(f"unknown sweep family {family!r}")
     param = sweep_param or _SWEEP_DEFAULT_PARAM[family]
+    if param in (fixed or {}):
+        raise MalformedInputError(f"--param {param} is the swept parameter")
     values = np.linspace(start, stop, steps) if steps > 1 else np.array([start])
     rows = []
     for value in values:

@@ -10,11 +10,12 @@ commutator with a reduced state, or a negative partial-transpose eigenvalue).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .linalg import DensityMatrix, commutator_fro_norm
+from .linalg import DensityMatrix, _blocks, _product_basis_matrix, commutator_fro_norm
 from .measures import ppt_min_eigenvalue, schmidt_decomposition, truncation_measure
 from .states import projector
 
@@ -81,11 +82,6 @@ def _group_by_overlap(vectors: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray
     return vectors[:, reps], labels
 
 
-def _product_reconstruction(basis_a: np.ndarray, basis_b: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    u = np.kron(basis_a, basis_b)
-    return (u * weights.reshape(-1)) @ u.conj().T
-
-
 def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> TestOutcome:
     """Inspect the eigenvectors of a state whose nonzero spectrum is nondegenerate.
 
@@ -137,7 +133,7 @@ def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TO
     basis_b, labels_b = _group_by_overlap(*overlaps["B"])
     weights = np.zeros((dims.dA, dims.dB))
     weights[labels_a, labels_b] = values[nonzero]
-    residual = float(np.linalg.norm(rho.mat - _product_reconstruction(basis_a, basis_b, weights), "fro"))
+    residual = float(np.linalg.norm(rho.mat - _product_basis_matrix(basis_a, basis_b, weights), "fro"))
     if residual > tol.offdiag:
         return TestOutcome(name, "inconclusive", residual, "product basis failed to reconstruct the state")
     return TestOutcome(
@@ -185,7 +181,7 @@ def detect_local_both_nondegenerate(rho: DensityMatrix, tol: Tolerances = DEFAUL
 
 def _conditional_blocks(rho: DensityMatrix, basis: np.ndarray, sandwiched: str) -> np.ndarray:
     """Stacked blocks <v_j| rho |v_j> over the sandwiched subsystem's basis vectors."""
-    r = rho.mat.reshape(rho.dims.dA, rho.dims.dB, rho.dims.dA, rho.dims.dB)
+    _, r = _blocks(rho.mat, rho.dims)
     spec = "bj,abcd,dj->jac" if sandwiched == "B" else "aj,abcd,cj->jbd"
     return np.einsum(spec, basis.conj(), r, basis)
 
@@ -237,10 +233,7 @@ def detect_local_one_nondegenerate(rho: DensityMatrix, tol: Tolerances = DEFAULT
             residual,
             f"state is not block-diagonal across the subsystem {side} eigenbasis",
         )
-    worst = 0.0
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            worst = max(worst, float(np.linalg.norm(blocks[i] @ blocks[j] - blocks[j] @ blocks[i], "fro")))
+    worst = max((commutator_fro_norm(a, b) for a, b in combinations(blocks, 2)), default=0.0)
     if worst > tol.comm:
         return TestOutcome(name, "nonclassical", worst, "conditional blocks do not commute")
     shared = _joint_eigenbasis(blocks, tol)

@@ -6,13 +6,14 @@ produced by numpy.kron.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+import numbers
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES
 from .errors import MalformedInputError
 
 
@@ -24,6 +25,8 @@ class BipartiteDims:
     dB: int
 
     def __post_init__(self):
+        if not all(isinstance(d, numbers.Integral) for d in (self.dA, self.dB)):
+            raise MalformedInputError(f"subsystem dimensions must be integers, got {(self.dA, self.dB)}")
         if self.dA < 1 or self.dB < 1:
             raise MalformedInputError(f"subsystem dimensions must be >= 1, got {(self.dA, self.dB)}")
 
@@ -33,9 +36,7 @@ class BipartiteDims:
 
 
 def _as_dims(dims) -> BipartiteDims:
-    if isinstance(dims, BipartiteDims):
-        return dims
-    return BipartiteDims(int(dims[0]), int(dims[1]))
+    return dims if isinstance(dims, BipartiteDims) else BipartiteDims(*dims)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -54,6 +55,15 @@ def _eigensystem(mat: np.ndarray) -> EigenSystem:
     return EigenSystem(*map(_read_only, np.linalg.eigh(mat)))
 
 
+def _check_hermitian(mat: np.ndarray, herm_tol: float) -> None:
+    """Reject a matrix that is not square, or not Hermitian to within herm_tol."""
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise MalformedInputError(f"expected a square matrix, got shape {mat.shape}")
+    herm_err = np.abs(mat - mat.conj().T).max()
+    if herm_err > herm_tol:
+        raise MalformedInputError(f"matrix is not Hermitian: max |m - m^dag| = {herm_err:.3e}")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated bipartite density matrix: finite, Hermitian, unit trace, positive semidefinite.
@@ -70,11 +80,10 @@ class DensityMatrix:
 
     mat: np.ndarray
     dims: BipartiteDims
-    tol: InitVar[Tolerances | None] = None
     _measure_reports: dict = field(default_factory=dict, init=False, repr=False)
 
-    def __post_init__(self, tol: Tolerances | None):
-        tol = tol or DEFAULT_TOLERANCES
+    def __post_init__(self):
+        tol = DEFAULT_TOLERANCES
         mat = _read_only(np.array(self.mat, dtype=np.complex128))
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", _as_dims(self.dims))
@@ -85,9 +94,7 @@ class DensityMatrix:
             )
         if not np.isfinite(mat).all():
             raise MalformedInputError("matrix has non-finite (NaN or infinite) entries")
-        herm_err = np.abs(mat - mat.conj().T).max()
-        if herm_err > tol.herm:
-            raise MalformedInputError(f"matrix is not Hermitian: max |m - m^dag| = {herm_err:.3e}")
+        _check_hermitian(mat, tol.herm)
         tr_err = abs(mat.trace() - 1.0)
         if tr_err > tol.trace:
             raise MalformedInputError(f"trace differs from 1 by {tr_err:.3e}")
@@ -143,16 +150,10 @@ def partial_transpose(mat: np.ndarray, dims, side: str = "B") -> np.ndarray:
     return r.reshape(dims.total, dims.total)
 
 
-def hermitian_eig(mat: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenSystem:
-    """Eigendecomposition for Hermitian input; rejects non-Hermitian matrices."""
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise MalformedInputError(f"expected a square matrix, got shape {mat.shape}")
-    herm_err = np.abs(mat - mat.conj().T).max()
-    if herm_err > tol.herm:
-        raise MalformedInputError(f"matrix is not Hermitian: max |m - m^dag| = {herm_err:.3e}")
-    values, vectors = np.linalg.eigh(mat)
-    return EigenSystem(values, vectors)
+def _product_basis_matrix(basis_a: np.ndarray, basis_b: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_jk weights[j, k] |a_j b_k><a_j b_k| over the columns a_j of basis_a and b_k of basis_b."""
+    u = np.kron(basis_a, basis_b)
+    return (u * weights.reshape(-1)) @ u.conj().T
 
 
 def commutator_fro_norm(a: np.ndarray, b: np.ndarray) -> float:

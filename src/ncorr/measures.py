@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import CapabilityError, DomainError, MalformedInputError
-from .linalg import DensityMatrix, _as_dims, _read_only, hermitian_eig
+from .linalg import DensityMatrix, _as_dims, _check_hermitian, _read_only
 from .spectral import TruncatedComponent, decompose
 
 _QUOTA_SLACK = 1e-9  # relative headroom over the quota before x is out of domain
@@ -65,10 +65,6 @@ def surprisal_term(x: float, y: float, quota: float) -> float:
     return max(0.0, -abs(x - y) * math.log2(x / quota))
 
 
-def _group_discrepancy(xs: Sequence[float], ys: Sequence[float], quota: float) -> float:
-    return math.fsum(surprisal_term(x, y, quota) for x, y in zip(xs, ys))
-
-
 def truncation_measure_side(
     components: Sequence[TruncatedComponent], side: str, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> tuple[float, tuple[float, ...]]:
@@ -84,7 +80,7 @@ def truncation_measure_side(
         spectrum = comp.spectrum_a if side == "A" else comp.spectrum_b
         quota = comp.eta * comp.multiplicity
         predicted = [nearest_integer_multiple(lam, comp.eta, tol.tie) for lam in spectrum]
-        contribs.append(_group_discrepancy(spectrum, predicted, quota))
+        contribs.append(math.fsum(surprisal_term(x, y, quota) for x, y in zip(spectrum, predicted)))
     return math.fsum(contribs), tuple(contribs)
 
 
@@ -237,7 +233,7 @@ def _partition_count(n_groups: int, group_size: int) -> int:
 def partition_discrepancy(
     rho: DensityMatrix, side: str, max_dim: int = 16, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
-    """One-sided partition measure via exhaustive grouping of the global spectrum."""
+    """One-sided partition measure via exhaustive grouping of the global spectrum; tol is not read."""
     if side not in ("A", "B"):
         raise DomainError(f"side must be 'A' or 'B', got {side!r}")
     dims = rho.dims
@@ -252,17 +248,16 @@ def partition_discrepancy(
     return mimic_discrepancy(rho.eig.values, rho.reduced_eig[side].values, n_groups, group_size)
 
 
-def partition_measure(rho: DensityMatrix, max_dim: int = 16, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def partition_measure(rho: DensityMatrix, max_dim: int = 16) -> float:
     """Larger of the two one-sided partition discrepancies."""
-    return max(
-        partition_discrepancy(rho, "A", max_dim, tol),
-        partition_discrepancy(rho, "B", max_dim, tol),
-    )
+    return max(partition_discrepancy(rho, "A", max_dim), partition_discrepancy(rho, "B", max_dim))
 
 
 def von_neumann_entropy(mat: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Entropy -sum(w * log2(w)) over eigenvalues above the rank cutoff."""
-    w = hermitian_eig(mat, tol).values
+    mat = np.asarray(mat)
+    _check_hermitian(mat, tol.herm)
+    w = np.linalg.eigh(mat)[0]
     if w[0] < -tol.psd:
         raise DomainError(f"matrix is not positive semidefinite: min eigenvalue {float(w[0]):.3e}")
     return _entropy(w, tol)
@@ -270,7 +265,8 @@ def von_neumann_entropy(mat: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -
 
 def _entropy(values: np.ndarray, tol: Tolerances) -> float:
     """-sum(w * log2(w)) over the values above the rank cutoff."""
-    return -math.fsum(_xlog2x(float(v)) for v in values if v > tol.rank)
+    # 0.0 - s, not -s: equal for every nonzero s, but +0.0 rather than -0.0 for s = 0.
+    return 0.0 - math.fsum(_xlog2x(float(v)) for v in values if v > tol.rank)
 
 
 class SchmidtDecomposition(NamedTuple):
@@ -305,8 +301,7 @@ def schmidt_decomposition(vec: np.ndarray, dims, tol: Tolerances = DEFAULT_TOLER
 
 def entropy_of_entanglement(vec: np.ndarray, dims, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Reduced-state entropy of a pure state, from its Schmidt coefficients."""
-    c = schmidt_decomposition(vec, dims, tol).coefficients ** 2
-    return -math.fsum(_xlog2x(float(v)) for v in c)
+    return _entropy(schmidt_decomposition(vec, dims, tol).coefficients ** 2, tol)
 
 
 def ppt_min_eigenvalue(rho: DensityMatrix) -> float:

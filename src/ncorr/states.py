@@ -8,9 +8,9 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES
 from .errors import DomainError, MalformedInputError
-from .linalg import BipartiteDims, DensityMatrix, tensor_product
+from .linalg import BipartiteDims, DensityMatrix, _as_dims, _product_basis_matrix, tensor_product
 
 
 def ket(index: int, dim: int) -> np.ndarray:
@@ -88,6 +88,14 @@ def zeta() -> DensityMatrix:
     return DensityMatrix(mat, BipartiteDims(4, 4))
 
 
+def _rng(seed) -> np.random.Generator:
+    """np.random.default_rng(seed), with a negative seed a DomainError."""
+    try:
+        return np.random.default_rng(seed)
+    except ValueError:
+        raise DomainError(f"seed must be a nonnegative integer or a sequence of them, got {seed!r}") from None
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2)
@@ -105,8 +113,8 @@ def apply_local_unitaries(rho: DensityMatrix, ua: np.ndarray, ub: np.ndarray) ->
 
 def zeta_prime(seed_a: int = 0, seed_b: int = 1) -> DensityMatrix:
     """zeta conjugated by seeded Haar-random local unitaries on both sides."""
-    ua = haar_unitary(4, np.random.default_rng(seed_a))
-    ub = haar_unitary(4, np.random.default_rng(seed_b))
+    ua = haar_unitary(4, _rng(seed_a))
+    ub = haar_unitary(4, _rng(seed_b))
     return apply_local_unitaries(zeta(), ua, ub)
 
 
@@ -146,7 +154,7 @@ _PAULI = {
 }
 
 
-def kappa(c_x: float, c_y: float, c_z: float, tol: Tolerances = DEFAULT_TOLERANCES) -> DensityMatrix:
+def kappa(c_x: float, c_y: float, c_z: float) -> DensityMatrix:
     """Two-qubit state (I + c_x XX + c_y YY + c_z ZZ) / 4, diagonal in the Bell basis.
 
     Eigenvalues are (1 - c_x - c_y - c_z)/4, (1 - c_x + c_y + c_z)/4,
@@ -158,7 +166,7 @@ def kappa(c_x: float, c_y: float, c_z: float, tol: Tolerances = DEFAULT_TOLERANC
         mat += c * np.kron(_PAULI[name], _PAULI[name])
     mat /= 4
     evals = kappa_eigenvalues(c_x, c_y, c_z)
-    if min(evals) < -tol.psd:
+    if min(evals) < -DEFAULT_TOLERANCES.psd:
         raise DomainError(f"coefficients ({c_x}, {c_y}, {c_z}) give a negative eigenvalue {min(evals)}")
     return DensityMatrix(mat, BipartiteDims(2, 2))
 
@@ -187,12 +195,12 @@ def bell_basis() -> np.ndarray:
 
 def random_density(dims, rank: int | None = None, seed: int = 0) -> DensityMatrix:
     """Seeded random density matrix of the given rank (full rank by default)."""
-    dims = BipartiteDims(*dims) if not isinstance(dims, BipartiteDims) else dims
+    dims = _as_dims(dims)
     d = dims.total
     rank = d if rank is None else int(rank)
     if not 1 <= rank <= d:
         raise DomainError(f"rank must lie in [1, {d}], got {rank}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     mat = g @ g.conj().T
     mat /= mat.trace().real
@@ -210,20 +218,18 @@ class ClassicalSample(NamedTuple):
 
 def random_classical(dims, seed: int = 0) -> ClassicalSample:
     """Seeded random state diagonal in a Haar-random product basis."""
-    dims = BipartiteDims(*dims) if not isinstance(dims, BipartiteDims) else dims
-    rng = np.random.default_rng(seed)
+    dims = _as_dims(dims)
+    rng = _rng(seed)
     ua = haar_unitary(dims.dA, rng)
     ub = haar_unitary(dims.dB, rng)
     weights = rng.dirichlet(np.ones(dims.total)).reshape(dims.dA, dims.dB)
-    u = np.kron(ua, ub)
-    mat = (u * weights.reshape(-1)) @ u.conj().T
-    return ClassicalSample(DensityMatrix(mat, dims), ua, ub, weights)
+    return ClassicalSample(DensityMatrix(_product_basis_matrix(ua, ub, weights), dims), ua, ub, weights)
 
 
 def random_local_unitary(dims, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Seeded pair of independent Haar unitaries, one per subsystem."""
-    dims = BipartiteDims(*dims) if not isinstance(dims, BipartiteDims) else dims
-    rng = np.random.default_rng(seed)
+    dims = _as_dims(dims)
+    rng = _rng(seed)
     return haar_unitary(dims.dA, rng), haar_unitary(dims.dB, rng)
 
 
@@ -235,15 +241,16 @@ class StateSpec:
     params: Mapping[str, float] = field(default_factory=dict)
 
 
-def _param(params: Mapping[str, float], key: str, default=None):
+def _param(params: dict[str, float], key: str, default=None):
+    """Take key out of params; build rejects any key no builder takes."""
     if key in params:
-        return params[key]
+        return params.pop(key)
     if default is None:
         raise MalformedInputError(f"missing required parameter {key!r}")
     return default
 
 
-def _int_param(params: Mapping[str, float], key: str, default=None) -> int:
+def _int_param(params: dict[str, float], key: str, default=None) -> int:
     """An integer parameter, given as an int or as a finite, integral float."""
     value = _param(params, key, default)
     if isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer()):
@@ -251,11 +258,11 @@ def _int_param(params: Mapping[str, float], key: str, default=None) -> int:
     raise MalformedInputError(f"parameter {key!r} must be an integer, got {value!r}")
 
 
-def _dims(params: Mapping[str, float]) -> BipartiteDims:
+def _dims(params: dict[str, float]) -> BipartiteDims:
     return BipartiteDims(_int_param(params, "dA", 2), _int_param(params, "dB", 2))
 
 
-def _random(params: Mapping[str, float]) -> DensityMatrix:
+def _random(params: dict[str, float]) -> DensityMatrix:
     rank = _int_param(params, "rank") if "rank" in params else None
     return random_density(_dims(params), rank, _int_param(params, "seed", 0))
 
@@ -281,8 +288,12 @@ CATALOG_NAMES = tuple(_BUILDERS)
 
 
 def build(spec: StateSpec) -> DensityMatrix:
-    """Construct a catalog state from its spec; unknown names are rejected."""
+    """Construct a catalog state from its spec; unknown names and parameters are rejected."""
     builder = _BUILDERS.get(spec.name)
     if builder is None:
         raise MalformedInputError(f"unknown state name {spec.name!r}")
-    return builder(dict(spec.params))
+    params = dict(spec.params)
+    state = builder(params)
+    if params:
+        raise MalformedInputError(f"state {spec.name!r} takes no parameter {', '.join(map(repr, sorted(params)))}")
+    return state

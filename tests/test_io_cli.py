@@ -5,6 +5,7 @@ and stdout/stderr can be asserted cheaply; one subprocess smoke test checks
 the installed entry point end to end.
 """
 
+import argparse
 import json
 import math
 import re
@@ -37,7 +38,7 @@ from ncorr import (
     zeta,
     zeta_prime,
 )
-from ncorr.cli import main, run_bench, run_sweep
+from ncorr.cli import _build_parser, main, run_bench, run_sweep
 from ncorr.io import (
     Report,
     _matrix_from_rows,
@@ -382,6 +383,77 @@ class TestCliState:
 
     def test_argparse_failure_exits_2(self, capsys):
         assert main(["state"]) == 2  # --name is required
+        capsys.readouterr()
+
+
+_SWEEP = ["sweep", "--family", "kappa", "--start", "0", "--stop", "0.9", "--steps", "3"]
+
+
+class TestCliRejections:
+    """Input that no code would read exits 2 instead of passing silently."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["state", "--name", "kappa", "--param", "c_w=0.5"], "state 'kappa' takes no parameter 'c_w'"),
+            (["state", "--name", "bell", "--param", "n=5"], "state 'bell' takes no parameter 'n'"),
+            (_SWEEP + ["--sweep-param", "c_w"], "state 'kappa' takes no parameter 'c_w'"),
+            (_SWEEP + ["--param", "c_w=0.1"], "state 'kappa' takes no parameter 'c_w'"),
+            (_SWEEP + ["--param", "c_x=0.1"], "--param c_x is the swept parameter"),
+            (["state", "--name", "sigma", "--seed", "3"], "state 'sigma' takes no parameter 'seed'"),
+            (["state", "--name", "random", "--seed", "3", "--param", "seed=4"], "give the seed once"),
+            (["state", "--name", "random", "--param", "seed=-1"], "seed must be a nonnegative integer"),
+            (["state", "--name", "random", "--seed", "-1"], "seed must be a nonnegative integer"),
+            (["state", "--name", "random_classical", "--seed", "-1"], "seed must be a nonnegative integer"),
+            (["state", "--name", "zeta_prime", "--param", "seed_a=-3"], "seed must be a nonnegative integer"),
+            (["bench", "--seed", "-1", "--max-dim", "2", "--trials", "1"], "seed must be a nonnegative integer"),
+            (["state", "--name", "sigma", "--json"], "unrecognized arguments: --json"),
+            (_SWEEP + ["--json"], "unrecognized arguments: --json"),
+            (["bench", "--trials", "0", "--json"], "unrecognized arguments: --json"),
+            (["state", "--name", "sigma", "--eps-deg", "1e-5"], "unrecognized arguments: --eps-deg"),
+            (_SWEEP + ["--seed", "1"], "unrecognized arguments: --seed"),
+        ],
+    )
+    def test_exits_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compute", "detect"])
+    def test_seed_on_a_file_command_exits_2(self, tmp_path, capsys, command):
+        assert main([command, "--in", _write_state(tmp_path, "sigma", sigma()), "--seed", "1"]) == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+class TestCliOptionsAreRead:
+    """Each subcommand reads every option it parses."""
+
+    @staticmethod
+    def _unread(argv) -> set:
+        reads = set()
+
+        class Recorder(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        args = _build_parser().parse_args(argv, namespace=Recorder())
+        func = args.func
+        reads.clear()
+        assert func(args) == 0
+        return set(vars(args)) - {"command", "func"} - reads
+
+    def test_every_parsed_option_is_read(self, tmp_path, capsys):
+        path = _write_state(tmp_path, "sigma", sigma())
+        runs = [
+            ["state", "--name", "random", "--seed", "2"],
+            ["compute", "--in", path, "--which", "all"],
+            ["compute", "--in", path, "--which", "all", "--json"],
+            ["detect", "--in", path],
+            ["sweep", "--family", "phi_p", "--start", "0", "--stop", "1", "--steps", "2"],
+            ["bench", "--max-dim", "2", "--trials", "1", "--out", str(tmp_path / "bench.csv")],
+        ]
+        for argv in runs:
+            assert self._unread(argv) == set(), argv
         capsys.readouterr()
 
 

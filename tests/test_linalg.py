@@ -12,7 +12,6 @@ from ncorr import (
     bell,
     classify,
     commutator_fro_norm,
-    hermitian_eig,
     partial_trace,
     partial_transpose,
     partition_measure,
@@ -20,6 +19,7 @@ from ncorr import (
     tau,
     tensor_product,
     truncation_measure,
+    von_neumann_entropy,
 )
 
 
@@ -45,6 +45,21 @@ class TestBipartiteDims:
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(MalformedInputError, match="must be >= 1"):
             BipartiteDims(*bad)
+
+    @pytest.mark.parametrize("bad", [(2.5, 2), (2, 2.0), ("2", 2), (None, 2), (np.float64(2), 2)])
+    def test_rejects_non_integers(self, bad):
+        with pytest.raises(MalformedInputError, match="must be integers"):
+            BipartiteDims(*bad)
+
+    def test_non_integer_dims_rejected_by_every_dims_argument(self):
+        """(2.7, 2) used to be truncated to a 2x2 system."""
+        for call in (
+            lambda: partial_trace(np.eye(4) / 4, (2.7, 2)),
+            lambda: partial_transpose(np.eye(4) / 4, (2, 2.0)),
+            lambda: DensityMatrix(np.eye(4) / 4, (2.7, 2)),
+        ):
+            with pytest.raises(MalformedInputError, match="must be integers"):
+                call()
 
 
 class TestDensityMatrix:
@@ -240,19 +255,15 @@ class TestPartialTranspose:
 
 
 class TestHermitianEig:
-    def test_ascending_and_reconstructs(self):
-        m = random_hermitian(5, 11)
-        values, vectors = hermitian_eig(m)
-        assert np.all(np.diff(values) >= 0)
-        assert_allclose(vectors @ np.diag(values) @ vectors.conj().T, m, atol=1e-12)
+    """The square-and-Hermitian check von_neumann_entropy runs before its eigh."""
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(MalformedInputError, match="not Hermitian"):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            von_neumann_entropy(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_non_square(self):
         with pytest.raises(MalformedInputError, match="square"):
-            hermitian_eig(np.zeros((2, 3)))
+            von_neumann_entropy(np.zeros((2, 3)))
 
 
 class TestCommutator:

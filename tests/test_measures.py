@@ -390,6 +390,20 @@ class TestEntropyHelpers:
         with pytest.raises(DomainError, match="not positive semidefinite"):
             von_neumann_entropy(np.diag([1.2, -0.2]))
 
+    def test_zero_entropies_are_positive_zero(self):
+        """A pure or product reduced state has entropy +0.0, which prints as 0, not -0."""
+        report = truncation_measure(phi_p(0.0))
+        product = np.zeros(4)
+        product[0] = 1.0
+        for value in (
+            report.entropy_a,
+            report.entropy_b,
+            von_neumann_entropy(np.diag([1.0, 0.0])),
+            entropy_of_entanglement(product, (2, 2)),
+        ):
+            assert value == 0.0
+            assert math.copysign(1.0, value) == 1.0
+
     def test_entropy_of_entanglement_bell(self):
         vec = np.zeros(9)
         vec[[0, 4, 8]] = 1 / math.sqrt(3)

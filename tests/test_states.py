@@ -189,6 +189,21 @@ class TestRandomGenerators:
         with pytest.raises(DomainError, match="rank must lie"):
             random_density((2, 2), rank=5)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_density((2, 2), seed=-1),
+            lambda: random_density((2, 2), seed=[3, 2, -1]),
+            lambda: random_classical((2, 2), seed=-1),
+            lambda: random_local_unitary((2, 2), seed=-1),
+            lambda: zeta_prime(seed_a=-3),
+            lambda: zeta_prime(seed_b=-1),
+        ],
+    )
+    def test_negative_seed_is_a_domain_error(self, make):
+        with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+            make()
+
     def test_random_density_seed_determinism(self):
         a = random_density((2, 2), seed=17)
         b = random_density((2, 2), seed=17)
@@ -281,6 +296,25 @@ class TestBuildDispatch:
         got = build(StateSpec("random", {"dA": 3.0, "dB": 2.0, "seed": 4.0, "rank": 2.0}))
         assert np.array_equal(got.mat, random_density((3, 2), rank=2, seed=4).mat)
         assert build(StateSpec("bell", {"N": 3.0})).dims == BipartiteDims(3, 3)
+
+    @pytest.mark.parametrize(
+        "name,params,keys",
+        [
+            ("kappa", {"c_w": 0.3}, "'c_w'"),
+            ("bell", {"n": 5}, "'n'"),
+            ("sigma", {"seed": 3}, "'seed'"),
+            ("phi_p", {"p": 0.5, "q": 1, "N": 2}, "'N', 'q'"),
+            ("random", {"dA": 2, "dims": 2}, "'dims'"),
+        ],
+    )
+    def test_unread_parameters_rejected(self, name, params, keys):
+        with pytest.raises(MalformedInputError, match=f"state '{name}' takes no parameter {keys}$"):
+            build(StateSpec(name, params))
+
+    def test_spec_params_left_as_given(self):
+        params = {"dA": 2, "dB": 2, "seed": 3}
+        build(StateSpec("random", params))
+        assert params == {"dA": 2, "dB": 2, "seed": 3}
 
     def test_zeta_prime_seeds_forwarded(self):
         got = build(StateSpec("zeta_prime", {"seed_a": 3, "seed_b": 4}))
