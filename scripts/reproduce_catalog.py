@@ -10,6 +10,7 @@ all; pass --full to include them.
 import argparse
 
 from ncorr import (
+    CapabilityError,
     bell,
     classify,
     partition_measure,
@@ -55,9 +56,9 @@ def main() -> int:
         state = builder()
         report = truncation_measure(state)
         dims = f"{state.dims.dA}x{state.dims.dB}"
-        if state.dims.total <= g_budget:
-            g_text = f"{partition_measure(state):10.6f}"
-        else:
+        try:
+            g_text = f"{partition_measure(state, g_budget):10.6f}"
+        except CapabilityError:
             g_text = f"{'-':>10}"
         verdict = classify(state)
         decided = verdict.decided_by or "none"

@@ -18,6 +18,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .detect import DetectionVerdict, classify
 from .errors import CapabilityError, DomainError, MalformedInputError
 from .io import Report, format_float, matrix_as_pairs, read_state_file, state_file_text, write_state_file
+from .linalg import DensityMatrix
 from .measures import MeasureReport, partition_discrepancy, truncation_measure
 from .states import StateSpec, build, random_density
 
@@ -70,12 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerances(args) -> Tolerances:
-    tol = DEFAULT_TOLERANCES
-    if args.eps_deg is not None:
-        tol = replace(tol, deg=args.eps_deg)
-    if args.eps_tie is not None:
-        tol = replace(tol, tie=args.eps_tie)
-    return tol
+    given = {"deg": args.eps_deg, "tie": args.eps_tie}
+    return replace(DEFAULT_TOLERANCES, **{k: v for k, v in given.items() if v is not None})
 
 
 def _parse_params(pairs: Sequence[str]) -> dict[str, float]:
@@ -89,10 +86,6 @@ def _parse_params(pairs: Sequence[str]) -> dict[str, float]:
         except ValueError:
             raise MalformedInputError(f"--param {key}: {value!r} is not a number") from None
     return params
-
-
-def _tol_line(tol: Tolerances) -> str:
-    return "tolerances: " + " ".join(f"{k}={v:g}" for k, v in tol.as_dict().items())
 
 
 def cmd_state(args) -> int:
@@ -129,6 +122,18 @@ def _measure_section(report: MeasureReport) -> dict:
     }
 
 
+def _emit(args, state: DensityMatrix, tol: Tolerances, lines: list[str], kind: str, **section: dict) -> int:
+    """Write the JSON report with the section under its field, or the text lines between header and tolerances."""
+    if args.json:
+        sys.stdout.write(Report(__version__, kind, [state.dims.dA, state.dims.dB], tol.as_dict(), **section).to_json())
+        return 0
+    print(f"state: {args.infile} (dims {state.dims.dA}x{state.dims.dB})")
+    for line in lines:
+        print(line)
+    print("tolerances: " + " ".join(f"{k}={v:g}" for k, v in tol.as_dict().items()))
+    return 0
+
+
 def cmd_compute(args) -> int:
     tol = _tolerances(args)
     state = read_state_file(args.infile)
@@ -137,27 +142,14 @@ def cmd_compute(args) -> int:
         f_a = partition_discrepancy(state, "A", args.max_partition_dim)
         f_b = partition_discrepancy(state, "B", args.max_partition_dim)
         section.update(G=max(f_a, f_b), F_A=f_a, F_B=f_b)
-    if args.json:
-        doc = Report(
-            version=__version__,
-            kind="measure",
-            dims=[state.dims.dA, state.dims.dB],
-            tolerances=tol.as_dict(),
-            measure=section,
-        )
-        sys.stdout.write(doc.to_json())
-        return 0
-    print(f"state: {args.infile} (dims {state.dims.dA}x{state.dims.dB})")
+    lines = []
     for key, value in section.items():
         if key == "per_component":
-            print("per-eigenspace contributions:")
-            print("  eta            mult  side A          side B")
-            for c in value:
-                print("  {eta:<14.9g} {multiplicity:<5d} {contribution_A:<15.9g} {contribution_B:.9g}".format(**c))
+            lines += ["per-eigenspace contributions:", "  eta            mult  side A          side B"]
+            lines += ["  {eta:<14.9g} {multiplicity:<5d} {contribution_A:<15.9g} {contribution_B:.9g}".format(**c) for c in value]
         else:
-            print(f"{key:<3} = {value:.12g}")
-    print(_tol_line(tol))
-    return 0
+            lines.append(f"{key:<3} = {value:.12g}")
+    return _emit(args, state, tol, lines, "measure", measure=section)
 
 
 def _detection_section(verdict: DetectionVerdict) -> dict:
@@ -180,27 +172,12 @@ def _detection_section(verdict: DetectionVerdict) -> dict:
 def cmd_detect(args) -> int:
     tol = _tolerances(args)
     state = read_state_file(args.infile)
-    verdict = classify(state, tol)
-    if args.json:
-        doc = Report(
-            version=__version__,
-            kind="detect",
-            dims=[state.dims.dA, state.dims.dB],
-            tolerances=tol.as_dict(),
-            detection=_detection_section(verdict),
-        )
-        sys.stdout.write(doc.to_json())
-        return 0
-    print(f"state: {args.infile} (dims {state.dims.dA}x{state.dims.dB})")
-    decided = verdict.decided_by or "none"
-    print(f"verdict: {verdict.verdict} (decided by: {decided})")
-    print("evidence:")
-    for e in verdict.evidence:
-        print(f"  {e.test}: {e.outcome} (witness={e.witness:.6g}) {e.detail}")
-    if verdict.basis_a is not None:
-        print("witnessing product eigenbasis emitted (use --json for the matrices)")
-    print(_tol_line(tol))
-    return 0
+    section = _detection_section(classify(state, tol))
+    lines = [f"verdict: {section['verdict']} (decided by: {section['decided_by'] or 'none'})", "evidence:"]
+    lines += ["  {test}: {outcome} (witness={witness:.6g}) {detail}".format(**e) for e in section["evidence"]]
+    if "basis_A" in section:
+        lines.append("witnessing product eigenbasis emitted (use --json for the matrices)")
+    return _emit(args, state, tol, lines, "detect", detection=section)
 
 
 _SWEEP_DEFAULT_PARAM = {"phi_p": "p", "kappa": "c_x"}
@@ -285,7 +262,7 @@ def run_bench(max_dim: int = 16, trials: int = 3, seed: int = 0, tol: Tolerances
     if trials > 0:
         for n in sizes:
             states = [random_density((n, n), seed=[seed, n, t]) for t in range(trials)]
-            truncation_measure(states[0], tol)  # warm-up, untimed
+            truncation_measure(random_density((n, n), seed=[seed, n, trials]), tol)  # warm-up on a state never timed
             elapsed = []
             for state in states:
                 t0 = time.perf_counter()

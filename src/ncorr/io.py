@@ -93,7 +93,7 @@ def parse_state_text(text: str) -> DensityMatrix:
     if (
         not isinstance(dims_field, list)
         or len(dims_field) != 2
-        or not all(isinstance(d, int) and d >= 1 for d in dims_field)
+        or not all(type(d) is int and d >= 1 for d in dims_field)
     ):
         raise MalformedInputError(f"'dims' must be a pair of positive integers, got {dims_field!r}")
     dims = BipartiteDims(dims_field[0], dims_field[1])
@@ -168,26 +168,6 @@ class Report:
         if self.detection is not None:
             doc["detection"] = self.detection
         return dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise MalformedInputError(f"invalid report: {e.msg} at line {e.lineno} column {e.colno}") from e
-        if not isinstance(doc, dict):
-            raise MalformedInputError("report must be a JSON object")
-        for key in ("version", "kind", "dims", "tolerances"):
-            if key not in doc:
-                raise MalformedInputError(f"report is missing the {key!r} field")
-        return cls(
-            version=doc["version"],
-            kind=doc["kind"],
-            dims=doc["dims"],
-            tolerances=doc["tolerances"],
-            measure=doc.get("measure"),
-            detection=doc.get("detection"),
-        )
 
 
 def matrix_as_pairs(mat: np.ndarray) -> list:

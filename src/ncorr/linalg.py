@@ -25,7 +25,7 @@ class BipartiteDims:
     dB: int
 
     def __post_init__(self):
-        if not all(isinstance(d, numbers.Integral) for d in (self.dA, self.dB)):
+        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in (self.dA, self.dB)):
             raise MalformedInputError(f"subsystem dimensions must be integers, got {(self.dA, self.dB)}")
         if self.dA < 1 or self.dB < 1:
             raise MalformedInputError(f"subsystem dimensions must be >= 1, got {(self.dA, self.dB)}")

@@ -288,7 +288,7 @@ def schmidt_decomposition(vec: np.ndarray, dims, tol: Tolerances = DEFAULT_TOLER
     if vec.shape[0] != dims.total:
         raise MalformedInputError(f"vector length {vec.shape[0]} does not match dims {dims.dA}x{dims.dB}")
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > 1e-8:
+    if abs(norm - 1.0) > tol.trace:
         raise DomainError(f"vector norm {norm} is not 1")
     u, s, vh = np.linalg.svd(vec.reshape(dims.dA, dims.dB), full_matrices=False)
     keep = s**2 > tol.rank

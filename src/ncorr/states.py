@@ -193,11 +193,20 @@ def bell_basis() -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _as_int(value, what: str) -> int:
+    """value given as an int or as a finite, integral float; a bool is neither."""
+    if not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
+    ):
+        return int(value)
+    raise MalformedInputError(f"{what} must be an integer, got {value!r}")
+
+
 def random_density(dims, rank: int | None = None, seed: int = 0) -> DensityMatrix:
     """Seeded random density matrix of the given rank (full rank by default)."""
     dims = _as_dims(dims)
     d = dims.total
-    rank = d if rank is None else int(rank)
+    rank = d if rank is None else _as_int(rank, "rank")
     if not 1 <= rank <= d:
         raise DomainError(f"rank must lie in [1, {d}], got {rank}")
     rng = _rng(seed)
@@ -251,11 +260,7 @@ def _param(params: dict[str, float], key: str, default=None):
 
 
 def _int_param(params: dict[str, float], key: str, default=None) -> int:
-    """An integer parameter, given as an int or as a finite, integral float."""
-    value = _param(params, key, default)
-    if isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer()):
-        return int(value)
-    raise MalformedInputError(f"parameter {key!r} must be an integer, got {value!r}")
+    return _as_int(_param(params, key, default), f"parameter {key!r}")
 
 
 def _dims(params: dict[str, float]) -> BipartiteDims:

@@ -1,4 +1,4 @@
-"""State-file serialization, report round-trips, and the command line.
+"""State-file serialization, the JSON and text reports, and the command line.
 
 CLI commands are exercised in-process through main(argv) so that exit codes
 and stdout/stderr can be asserted cheaply; one subprocess smoke test checks
@@ -40,7 +40,6 @@ from ncorr import (
 )
 from ncorr.cli import _build_parser, main, run_bench, run_sweep
 from ncorr.io import (
-    Report,
     _matrix_from_rows,
     _state_text,
     dumps,
@@ -128,6 +127,13 @@ class TestDumps:
         assert json.loads(dumps(doc)) == {"b": [1, 2], "a": {"nested": [[1, 0], [0, 1]]}}
 
 
+# JSON true parses as a Python bool, which is an int subclass: dims checks must exclude it.
+_BOOL_DIMS = (
+    '{"dims": [true, true], "matrix": [[[1, 0]]]}',
+    '{"dims": [true, 2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}',
+)
+
+
 class TestStateFiles:
     def test_round_trip_varsigma_bit_exact(self, tmp_path):
         state = varsigma()
@@ -154,6 +160,8 @@ class TestStateFiles:
             ('{"dims": [0, 2], "matrix": []}', "'dims' must be a pair of positive integers"),
             ('{"dims": [2.5, 2], "matrix": []}', "'dims' must be a pair of positive integers"),
             ('{"dims": "xy", "matrix": []}', "'dims' must be a pair of positive integers"),
+            (_BOOL_DIMS[0], "'dims' must be a pair of positive integers"),
+            (_BOOL_DIMS[1], "'dims' must be a pair of positive integers"),
             ('{"dims": [1, 2], "matrix": [[[1, 0], [0, 0]]]}', "'matrix' must have 2 rows"),
         ],
     )
@@ -265,28 +273,6 @@ class TestStateFiles:
     def test_non_finite_entries_rejected(self, literal, dims, offdiagonal):
         with pytest.raises(MalformedInputError, match="non-finite"):
             parse_state_text(_non_finite_text(literal, dims, offdiagonal))
-
-
-class TestReport:
-    def test_round_trip(self):
-        doc = Report(
-            version="1.2.3",
-            kind="measure",
-            dims=[2, 3],
-            tolerances={"deg": 1e-9},
-            measure={"M": 0.25},
-        )
-        back = Report.from_json(doc.to_json())
-        assert back == doc
-
-    def test_missing_key(self):
-        with pytest.raises(MalformedInputError, match="missing the 'kind' field"):
-            Report.from_json('{"version": "0"}')
-
-    @pytest.mark.parametrize("text", ["1", "null", '"report"', '["version", "kind", "dims", "tolerances"]'])
-    def test_not_an_object(self, text):
-        with pytest.raises(MalformedInputError, match="report must be a JSON object"):
-            Report.from_json(text)
 
 
 def test_matrix_as_pairs_matches_per_entry_pairs():
@@ -417,6 +403,14 @@ class TestCliRejections:
     def test_exits_2(self, capsys, argv, message):
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compute", "detect"])
+    @pytest.mark.parametrize("text", _BOOL_DIMS)
+    def test_bool_dims_file_exits_2(self, tmp_path, capsys, command, text):
+        path = tmp_path / "bool.json"
+        path.write_text(text)
+        assert main([command, "--in", str(path)]) == 2
+        assert "'dims' must be a pair of positive integers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["compute", "detect"])
     def test_seed_on_a_file_command_exits_2(self, tmp_path, capsys, command):
@@ -675,6 +669,20 @@ class TestCliBench:
         assert [int(line.split(",")[0]) for line in lines[1:]] == [2, 4]
         assert [int(line.split(",")[1]) for line in lines[1:]] == [4, 16]
 
+    def test_every_timed_state_is_decomposed_in_its_timed_call(self, monkeypatch):
+        """The warm-up runs on a state of its own: a timed state whose
+        measure is already cached would time a dict lookup."""
+        eigh, sizes = np.linalg.eigh, []
+
+        def counting_eigh(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        run_bench(max_dim=4, trials=2)
+        n2 = sizes[: sizes.index(16)]  # N=4's reduced matrices are 4x4 too
+        assert (n2.count(4), sizes.count(16)) == (3, 3)
+
     def test_run_bench_argument_checks(self):
         rows, slope = run_bench(max_dim=2, trials=1)
         assert len(rows) == 1 and slope is None
@@ -700,6 +708,48 @@ class TestGoldenReports:
         produced = _normalize_version(capsys.readouterr().out)
         frozen = _normalize_version((DATA_DIR / "detect_sigma.json").read_text())
         assert produced == frozen
+
+
+class TestGoldenText:
+    """The text reports, line for line, as the golden JSON reports render them."""
+
+    @staticmethod
+    def _text_after_header(argv, path, dims, capsys) -> list:
+        assert main(argv + ["--in", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"state: {path} (dims {dims})"
+        return lines[1:]
+
+    @staticmethod
+    def _tolerance_line(doc) -> str:
+        return "tolerances: " + " ".join(f"{k}={v:g}" for k, v in doc["tolerances"].items())
+
+    def test_compute_varsigma(self, tmp_path, capsys):
+        doc = json.loads((DATA_DIR / "compute_varsigma.json").read_text())
+        want = []
+        for key, value in doc["measure"].items():
+            if key == "per_component":
+                want += ["per-eigenspace contributions:", "  eta            mult  side A          side B"]
+                want += [
+                    f"  {c['eta']:<14.9g} {c['multiplicity']:<5d} {c['contribution_A']:<15.9g} {c['contribution_B']:.9g}"
+                    for c in value
+                ]
+            else:
+                want.append(f"{key:<3} = {value:.12g}")
+        want.append(self._tolerance_line(doc))
+        path = _write_state(tmp_path, "varsigma", varsigma())
+        assert self._text_after_header(["compute", "--which", "all"], path, "2x2", capsys) == want
+
+    def test_detect_sigma(self, tmp_path, capsys):
+        doc = json.loads((DATA_DIR / "detect_sigma.json").read_text())
+        section = doc["detection"]
+        want = [f"verdict: {section['verdict']} (decided by: {section['decided_by'] or 'none'})", "evidence:"]
+        want += [f"  {e['test']}: {e['outcome']} (witness={e['witness']:.6g}) {e['detail']}" for e in section["evidence"]]
+        if "basis_A" in section:
+            want.append("witnessing product eigenbasis emitted (use --json for the matrices)")
+        want.append(self._tolerance_line(doc))
+        path = _write_state(tmp_path, "sigma", sigma())
+        assert self._text_after_header(["detect"], path, "2x2", capsys) == want
 
 
 class TestEntryPoint:

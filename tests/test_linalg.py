@@ -46,7 +46,7 @@ class TestBipartiteDims:
         with pytest.raises(MalformedInputError, match="must be >= 1"):
             BipartiteDims(*bad)
 
-    @pytest.mark.parametrize("bad", [(2.5, 2), (2, 2.0), ("2", 2), (None, 2), (np.float64(2), 2)])
+    @pytest.mark.parametrize("bad", [(2.5, 2), (2, 2.0), ("2", 2), (None, 2), (np.float64(2), 2), (True, 2)])
     def test_rejects_non_integers(self, bad):
         with pytest.raises(MalformedInputError, match="must be integers"):
             BipartiteDims(*bad)

@@ -419,6 +419,14 @@ class TestSchmidt:
         with pytest.raises(DomainError, match="norm"):
             schmidt_decomposition(np.ones(4), (2, 2))
 
+    def test_norm_slack_is_tol_trace(self):
+        vec = np.zeros(4)
+        vec[0] = 1 + 2e-8
+        with pytest.raises(DomainError, match="norm"):
+            schmidt_decomposition(vec, (2, 2))
+        dec = schmidt_decomposition(vec, (2, 2), Tolerances(trace=1e-7))
+        assert dec.coefficients.tolist() == pytest.approx([1 + 2e-8], abs=1e-15)
+
     def test_rejects_length_mismatch(self):
         vec = np.zeros(4)
         vec[0] = 1

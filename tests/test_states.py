@@ -189,6 +189,15 @@ class TestRandomGenerators:
         with pytest.raises(DomainError, match="rank must lie"):
             random_density((2, 2), rank=5)
 
+    @pytest.mark.parametrize("rank", [2.7, math.nan, True])
+    def test_random_density_rejects_non_integral_rank(self, rank):
+        """A fractional, NaN or bool rank is an error, never truncated to an int."""
+        with pytest.raises(MalformedInputError, match="rank must be an integer"):
+            random_density((2, 2), rank=rank, seed=1)
+
+    def test_random_density_accepts_integral_float_rank(self):
+        assert np.array_equal(random_density((2, 2), rank=2.0, seed=1).mat, random_density((2, 2), rank=2, seed=1).mat)
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -286,6 +295,7 @@ class TestBuildDispatch:
             ("bell", "N", "3"),
             ("zeta_prime", "seed_a", -math.inf),
             ("zeta_prime", "seed_b", 0.5),
+            ("random", "dA", True),
         ],
     )
     def test_integer_parameters_must_be_integral(self, name, key, value):
