@@ -31,6 +31,7 @@ from .linalg import (
     commutator_fro_norm,
     partial_trace,
     partial_transpose,
+    projector,
     tensor_product,
 )
 from .measures import (
@@ -71,7 +72,6 @@ from .states import (
     ket,
     phi_p,
     plus_ket,
-    projector,
     random_classical,
     random_density,
     random_local_unitary,

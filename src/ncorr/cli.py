@@ -301,7 +301,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (MalformedInputError, DomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -5,7 +5,8 @@ CLASSICAL verdicts always come with an explicit product eigenbasis that
 reconstructs the state; NONCLASSICAL verdicts rest on a necessity argument
 (a nondegenerate eigenvector of the wrong shape, a reduced eigenbasis that
 fails to diagonalize, non-commuting conditional blocks, a non-vanishing
-commutator with a reduced state, or a negative partial-transpose eigenvalue).
+commutator with a reduced state, a negative partial-transpose eigenvalue, or
+a truncation measure above tol.measure).
 """
 from __future__ import annotations
 
@@ -15,9 +16,8 @@ from itertools import combinations
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .linalg import DensityMatrix, _blocks, _product_basis_matrix, commutator_fro_norm
+from .linalg import DensityMatrix, _blocks, _product_basis_matrix, commutator_fro_norm, projector
 from .measures import ppt_min_eigenvalue, schmidt_decomposition, truncation_measure
-from .states import projector
 
 CLASSICAL = "CLASSICAL"
 NONCLASSICAL = "NONCLASSICAL"
@@ -279,34 +279,34 @@ def detect_npt(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> Test
     return TestOutcome(name, "inconclusive", m, "partial transpose is positive semidefinite")
 
 
+def _measure_witness(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> TestOutcome:
+    """Necessary condition: a classical state has truncation measure zero."""
+    name = "measure-witness"
+    m = truncation_measure(rho, tol).value
+    if m > tol.measure:
+        return TestOutcome(name, "nonclassical", m, "truncation measure exceeds threshold")
+    return TestOutcome(name, "inconclusive", m, "truncation measure is zero")
+
+
 _DETECTORS = (
     detect_nondegenerate_global,
     detect_local_both_nondegenerate,
     detect_local_one_nondegenerate,
     detect_commutator,
     detect_npt,
+    _measure_witness,
 )
 
 
 def classify(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> DetectionVerdict:
-    """Run every detector plus the measure witness; first decisive outcome wins.
+    """Run every detector in order; the first decisive outcome wins.
 
     All outcomes are retained as evidence regardless of where the decision
     fell, so the trail never hides a later test's result.
     """
-    outcomes = [d(rho, tol) for d in _DETECTORS]
-    m = truncation_measure(rho, tol).value
-    outcomes.append(
-        TestOutcome(
-            "measure-witness",
-            "nonclassical" if m > tol.measure else "inconclusive",
-            m,
-            "truncation measure exceeds threshold" if m > tol.measure else "truncation measure is zero",
-        )
-    )
-    evidence = tuple(outcomes)
-    applied = tuple(o.test for o in outcomes)
-    for o in outcomes:
+    evidence = tuple(d(rho, tol) for d in _DETECTORS)
+    applied = tuple(o.test for o in evidence)
+    for o in evidence:
         if o.decisive:
             return DetectionVerdict(
                 verdict=CLASSICAL if o.outcome == "classical" else NONCLASSICAL,

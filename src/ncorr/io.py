@@ -34,8 +34,6 @@ def _dump(obj, indent: int) -> str:
         items = ",\n".join(f'{pad}  {json.dumps(k)}: {_dump(v, indent + 1)}' for k, v in obj.items())
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
         flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
         if flat:
             return "[" + ", ".join(_dump(v, indent) for v in obj) + "]"
@@ -157,17 +155,8 @@ class Report:
     detection: dict | None = None
 
     def to_json(self) -> str:
-        doc = {
-            "version": self.version,
-            "kind": self.kind,
-            "dims": list(self.dims),
-            "tolerances": dict(self.tolerances),
-        }
-        if self.measure is not None:
-            doc["measure"] = self.measure
-        if self.detection is not None:
-            doc["detection"] = self.detection
-        return dumps(doc)
+        """The fields in declaration order, without the section that is None."""
+        return dumps({k: v for k, v in vars(self).items() if v is not None})
 
 
 def matrix_as_pairs(mat: np.ndarray) -> list:

@@ -150,6 +150,10 @@ def partial_transpose(mat: np.ndarray, dims, side: str = "B") -> np.ndarray:
     return r.reshape(dims.total, dims.total)
 
 
+def projector(vec: np.ndarray) -> np.ndarray:
+    return np.outer(vec, vec.conj())
+
+
 def _product_basis_matrix(basis_a: np.ndarray, basis_b: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_jk weights[j, k] |a_j b_k><a_j b_k| over the columns a_j of basis_a and b_k of basis_b."""
     u = np.kron(basis_a, basis_b)

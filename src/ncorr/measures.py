@@ -197,7 +197,7 @@ def mimic_discrepancy(
     if not (np.isfinite(evals).all() and np.isfinite(genuine).all()):
         raise DomainError("spectra must be finite (no NaN or infinite entries)")
     evals = np.maximum(evals, 0.0)
-    genuine_term = math.fsum(_xlog2x(e) for e in sorted(max(float(g), 0.0) for g in genuine))
+    genuine_term = math.fsum(_xlog2x(float(g)) for g in genuine)
     # Each row of the gather is summed by the same numpy sum, bit for bit, as the group alone.
     terms = [_xlog2x(float(group.sum())) for group in evals[_subsets(len(evals), group_size)]]
     # numpy's sum of n_groups terms errs by at most (n_groups - 1) * u * sum|term|

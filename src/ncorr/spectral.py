@@ -103,7 +103,7 @@ def truncated_component(
         # sum(axis=0) would add a stack of 1 x 1 slices pairwise instead.
         reduced = np.add.accumulate(cluster.eta * (s @ s.conj().transpose(0, 2, 1)))[-1]
         w = np.linalg.eigh(reduced)[0]
-        spectra.append(np.sort(w[w > tol.rank])[::-1])
+        spectra.append(w[w > tol.rank][::-1])  # eigh's values ascend
     return TruncatedComponent(
         eta=cluster.eta,
         multiplicity=cluster.multiplicity,

@@ -10,7 +10,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .errors import DomainError, MalformedInputError
-from .linalg import BipartiteDims, DensityMatrix, _as_dims, _product_basis_matrix, tensor_product
+from .linalg import BipartiteDims, DensityMatrix, _as_dims, _product_basis_matrix, projector, tensor_product
 
 
 def ket(index: int, dim: int) -> np.ndarray:
@@ -25,10 +25,6 @@ def plus_ket(dim: int) -> np.ndarray:
     v = np.zeros(dim, dtype=np.complex128)
     v[0] = v[1] = 1 / math.sqrt(2)
     return v
-
-
-def projector(vec: np.ndarray) -> np.ndarray:
-    return np.outer(vec, vec.conj())
 
 
 def varsigma() -> DensityMatrix:
@@ -202,6 +198,13 @@ def _as_int(value, what: str) -> int:
     raise MalformedInputError(f"{what} must be an integer, got {value!r}")
 
 
+def _as_real(value, what: str) -> float:
+    """value given as a real number; a bool is not one."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise MalformedInputError(f"{what} must be a real number, got {value!r}")
+
+
 def random_density(dims, rank: int | None = None, seed: int = 0) -> DensityMatrix:
     """Seeded random density matrix of the given rank (full rank by default)."""
     dims = _as_dims(dims)
@@ -250,26 +253,20 @@ class StateSpec:
     params: Mapping[str, float] = field(default_factory=dict)
 
 
-def _param(params: dict[str, float], key: str, default=None):
-    """Take key out of params; build rejects any key no builder takes."""
-    if key in params:
-        return params.pop(key)
-    if default is None:
+def _param(params: dict[str, float], key: str, read, default=None):
+    """Take key out of params through read, _as_int or _as_real; build rejects any key no builder takes."""
+    if key not in params and default is None:
         raise MalformedInputError(f"missing required parameter {key!r}")
-    return default
-
-
-def _int_param(params: dict[str, float], key: str, default=None) -> int:
-    return _as_int(_param(params, key, default), f"parameter {key!r}")
+    return read(params.pop(key, default), f"parameter {key!r}")
 
 
 def _dims(params: dict[str, float]) -> BipartiteDims:
-    return BipartiteDims(_int_param(params, "dA", 2), _int_param(params, "dB", 2))
+    return BipartiteDims(_param(params, "dA", _as_int, 2), _param(params, "dB", _as_int, 2))
 
 
 def _random(params: dict[str, float]) -> DensityMatrix:
-    rank = _int_param(params, "rank") if "rank" in params else None
-    return random_density(_dims(params), rank, _int_param(params, "seed", 0))
+    rank = _param(params, "rank", _as_int) if "rank" in params else None
+    return random_density(_dims(params), rank, _param(params, "seed", _as_int, 0))
 
 
 _BUILDERS = {
@@ -279,14 +276,14 @@ _BUILDERS = {
     "sigma_dprime": lambda p: sigma_dprime(),
     "tau": lambda p: tau(),
     "zeta": lambda p: zeta(),
-    "zeta_prime": lambda p: zeta_prime(_int_param(p, "seed_a", 0), _int_param(p, "seed_b", 1)),
+    "zeta_prime": lambda p: zeta_prime(_param(p, "seed_a", _as_int, 0), _param(p, "seed_b", _as_int, 1)),
     "xi": lambda p: xi(),
     "xi_prime": lambda p: xi_prime(),
-    "bell": lambda p: bell(_int_param(p, "N", 2)),
-    "phi_p": lambda p: phi_p(float(_param(p, "p"))),
-    "kappa": lambda p: kappa(*(float(_param(p, c, 0.0)) for c in ("c_x", "c_y", "c_z"))),
+    "bell": lambda p: bell(_param(p, "N", _as_int, 2)),
+    "phi_p": lambda p: phi_p(_param(p, "p", _as_real)),
+    "kappa": lambda p: kappa(*(_param(p, c, _as_real, 0.0) for c in ("c_x", "c_y", "c_z"))),
     "random": _random,
-    "random_classical": lambda p: random_classical(_dims(p), _int_param(p, "seed", 0)).state,
+    "random_classical": lambda p: random_classical(_dims(p), _param(p, "seed", _as_int, 0)).state,
 }
 
 CATALOG_NAMES = tuple(_BUILDERS)

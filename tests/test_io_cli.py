@@ -363,6 +363,10 @@ class TestCliState:
         assert main(["state", "--name", "random", "--param", "dA=3.0", "--seed", "2"]) == 0
         assert capsys.readouterr().out == state_file_text(random_density((3, 2), seed=2))
 
+    def test_non_numeric_param_exits_2(self, capsys):
+        assert main(["state", "--name", "bell", "--param", "N=abc"]) == 2
+        assert capsys.readouterr().err == "error: --param N: 'abc' is not a number\n"
+
     def test_malformed_param_exits_2(self, capsys):
         assert main(["state", "--name", "phi_p", "--param", "p"]) == 2
         assert "--param expects KEY=VALUE" in capsys.readouterr().err
@@ -582,6 +586,20 @@ class TestCliDetect:
         out = capsys.readouterr().out
         assert "verdict: CLASSICAL" in out
         assert "witnessing product eigenbasis emitted" in out
+
+    def test_undecided_state_reports_no_decider(self, tmp_path, capsys):
+        """kappa with default parameters is I/4: no detector decides, so the
+        JSON decided_by is null and the text names none and no basis."""
+        path = str(tmp_path / "kappa.json")
+        assert main(["state", "--name", "kappa", "--out", path]) == 0
+        assert main(["detect", "--in", path, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert '"decided_by": null,' in out
+        assert json.loads(out)["detection"]["verdict"] == "UNKNOWN"
+        assert main(["detect", "--in", path]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: UNKNOWN (decided by: none)\n" in out
+        assert "basis" not in out
 
 
 class TestCliNearHermitian:

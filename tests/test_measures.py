@@ -380,6 +380,20 @@ class TestSearchMatchesEnumerator:
             assert_allclose(np.linalg.eigvalsh(partial_trace(rho.mat, rho.dims, side)), spectra[key], atol=1e-12)
             assert mimic_discrepancy(spectra["global"], spectra[key], 4, 4) == float.fromhex(want)
 
+    @pytest.mark.parametrize("shape", ["2x9", "3x6"])
+    def test_side_a_at_total_dimension_18(self, shape):
+        """Side-A G of random_density(shape, seed=1), past the default guard,
+        recorded with the spectra it searched before the search is changed.
+        The recorded side-B values (g_b) take seconds a side, so they are
+        cross-check data only."""
+        rec = json.loads((Path(__file__).parent / "data" / "partition_18.json").read_text())[shape]
+        dA, dB = map(int, shape.split("x"))
+        glob, reduced_a = ([float.fromhex(h) for h in rec[key]] for key in ("global", "reduced_a"))
+        rho = random_density((dA, dB), seed=1)
+        assert_allclose(rho.eig.values, glob, atol=1e-12)
+        assert_allclose(rho.reduced_eig["A"].values, reduced_a, atol=1e-12)
+        assert mimic_discrepancy(glob, reduced_a, dA, dB) == float.fromhex(rec["g_a"])
+
 
 class TestEntropyHelpers:
     def test_von_neumann_entropy_of_mixed(self):

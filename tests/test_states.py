@@ -307,6 +307,17 @@ class TestBuildDispatch:
         assert np.array_equal(got.mat, random_density((3, 2), rank=2, seed=4).mat)
         assert build(StateSpec("bell", {"N": 3.0})).dims == BipartiteDims(3, 3)
 
+    @pytest.mark.parametrize("name,key", [("phi_p", "p"), ("kappa", "c_x")])
+    @pytest.mark.parametrize("value", [True, "0.5", None, [0.1]])
+    def test_real_parameters_must_be_real_numbers(self, name, key, value):
+        with pytest.raises(MalformedInputError, match=f"parameter '{key}' must be a real number, got "):
+            build(StateSpec(name, {key: value}))
+
+    def test_int_and_float_accepted_as_real_parameters(self):
+        assert np.array_equal(build(StateSpec("phi_p", {"p": 1})).mat, phi_p(1.0).mat)
+        assert np.array_equal(build(StateSpec("phi_p", {"p": 0.25})).mat, phi_p(0.25).mat)
+        assert np.array_equal(build(StateSpec("kappa", {"c_x": 0, "c_z": 0.5})).mat, kappa(0.0, 0.0, 0.5).mat)
+
     @pytest.mark.parametrize(
         "name,params,keys",
         [
