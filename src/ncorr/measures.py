@@ -12,9 +12,9 @@ per-group entropy terms, and math.fsum rescores the few near the minimum.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -138,8 +138,13 @@ def _xlog2x(v: float) -> float:
 def _subsets(n: int, g: int) -> np.ndarray:
     """Every g-subset of range(n) as an ascending row. Row r is the subset of
     colex rank r, where c_0 < ... < c_(g-1) has rank sum_i C(c_i, i + 1)."""
-    rows = sorted(combinations(range(n), g), key=lambda c: c[::-1])
-    return _read_only(np.array(rows, dtype=np.intp).reshape(len(rows), g))
+    # colex(m + 1, k) is colex(m, k) followed by colex(m, k - 1) with m appended.
+    tables = [np.zeros((1, 0), dtype=np.intp)] + [np.zeros((0, k), dtype=np.intp) for k in range(1, g + 1)]
+    for m in range(n):
+        for k in range(min(m + 1, g), max(0, g - n + m), -1):
+            appended = np.column_stack([tables[k - 1], np.full(len(tables[k - 1]), m, dtype=np.intp)])
+            tables[k] = np.concatenate([tables[k], appended])
+    return _read_only(tables[g])
 
 
 @lru_cache(maxsize=None)
@@ -150,17 +155,24 @@ def _split(n: int, g: int) -> tuple[np.ndarray, np.ndarray]:
     indices it leaves, in their own rank order, then the anchor's rank."""
     subsets = _subsets(n, g)
     anchors = np.flatnonzero(subsets[:, 0] == 0)
-    rest = np.array([[i for i in range(n) if i not in s] for s in subsets[anchors].tolist()], dtype=np.intp)
-    local = np.zeros((len(anchors), math.comb(n - g, g)), dtype=np.intp)
-    for i, column in enumerate(_subsets(n - g, g).T):
-        local += np.array([math.comb(x, i + 1) for x in range(n)])[rest[:, column]]
-    maps = np.column_stack([local, anchors]).astype(np.min_scalar_type(len(subsets)))
-    tails = np.zeros((1, 0), dtype=np.intp)
+    free = np.ones((len(anchors), n), dtype=bool)
+    free[np.arange(len(anchors))[:, None], subsets[anchors]] = False
+    rest = np.nonzero(free)[1].reshape(len(anchors), n - g)
+    maps = np.zeros((len(anchors), math.comb(n - g, g) + 1), dtype=np.min_scalar_type(len(subsets)))
+    maps[:, -1] = anchors
+    rows = np.zeros((1, 1), dtype=np.min_scalar_type(maps.shape[1] - 1))
     if n > g:
+        # Each rank term C(c_i, i + 1) with c_i < n and i < g <= n / 2 is at
+        # most C(n, g), so the terms and their partial sums fit maps' dtype.
+        for i, column in enumerate(_subsets(n - g, g).T):
+            weights = np.array([math.comb(x, i + 1) for x in range(n)], dtype=maps.dtype)[rest]
+            maps[:, :-1] += weights[:, column]
         tail_maps, tail_rows = _split(n - g, g)
-        tails = tail_maps[:, tail_rows].reshape(-1, n // g - 1)
-    rows = np.column_stack([tails, np.full(len(tails), local.shape[1])])
-    return _read_only(maps), _read_only(rows.astype(np.min_scalar_type(local.shape[1])))
+        rows = np.empty((len(tail_maps), len(tail_rows), n // g), dtype=rows.dtype)
+        rows[:, :, :-1] = tail_maps[:, tail_rows]
+        rows = rows.reshape(-1, n // g)
+        rows[:, -1] = maps.shape[1] - 1
+    return _read_only(maps), _read_only(rows)
 
 
 def mimic_discrepancy(
@@ -178,12 +190,17 @@ def mimic_discrepancy(
     The genuine list enters only through its entropy-term sum, which makes the
     result independent of how mimicked and genuine entries would be paired.
 
-    Every grouping is visited. Each subset's entropy term is computed once;
-    numpy sums them per grouping in blocks of about 32k terms, so no work
-    array is much over 1 MB, and math.fsum rescores each grouping whose
+    Every grouping is visited. Each subset's entropy term is computed once:
+    one numpy row sum over the gathered table of group_size-subsets gives
+    every subset's sum, bit for bit the sum numpy gives that subset alone,
+    and math.log2 turns each into its term. numpy sums the terms per
+    grouping in blocks of about 32k terms, one row of terms per group, so no
+    work array is much over 1 MB, and math.fsum rescores each grouping whose
     numpy gap is within a proven error margin of the minimum. The result is
-    the exact minimum of the math.fsum gaps.
+    the exact minimum of the math.fsum gaps, whatever order numpy adds in.
     """
+    _check_count(n_groups, "n_groups")
+    _check_count(group_size, "group_size")
     if len(global_spectrum) != n_groups * group_size:
         raise DomainError(
             f"{len(global_spectrum)} global eigenvalues cannot split into "
@@ -199,12 +216,12 @@ def mimic_discrepancy(
     evals = np.maximum(evals, 0.0)
     genuine_term = math.fsum(_xlog2x(float(g)) for g in genuine)
     # Each row of the gather is summed by the same numpy sum, bit for bit, as the group alone.
-    terms = [_xlog2x(float(group.sum())) for group in evals[_subsets(len(evals), group_size)]]
+    sums = evals[_subsets(len(evals), group_size)].sum(axis=1)
+    terms = np.array(list(map(_xlog2x, sums.tolist())))
     # numpy's sum of n_groups terms errs by at most (n_groups - 1) * u * sum|term|
     # (u = eps / 2), math.fsum by u * |sum| and each gap's subtraction by
     # u * |gap|: the margin bounds |numpy gap - fsum gap| with room to spare.
-    margin = (n_groups + 2) * np.finfo(float).eps * (n_groups * max(map(abs, terms)) + abs(genuine_term))
-    terms = np.array(terms)
+    margin = (n_groups + 2) * np.finfo(float).eps * (n_groups * np.abs(terms).max() + abs(genuine_term))
     maps, rows = _split(len(evals), group_size)
     best = math.inf
     row_step = max(1, _BLOCK // n_groups)
@@ -212,15 +229,23 @@ def mimic_discrepancy(
         chunk = rows[r0 : r0 + row_step]
         anchor_step = max(1, _BLOCK // chunk.size)
         for a0 in range(0, len(maps), anchor_step):
-            block = terms.take(maps[a0 : a0 + anchor_step]).take(chunk, axis=1)
-            gaps = np.abs(np.add.reduce(block, axis=2) - genuine_term)
+            # block[a, i, r] is the i-th group's term of grouping (a, r), so
+            # the sum over i adds whole contiguous rows, not short strided runs.
+            block = terms.take(maps[a0 : a0 + anchor_step]).take(chunk.T, axis=1)
+            gaps = np.abs(np.add.reduce(block, axis=1) - genuine_term)
             # The block's exact minimum lies within 2 * margin of its numpy
             # minimum, and any gap below best within margin of best.
-            exact = block[gaps <= min(gaps.min() + 2 * margin, best + margin)]
+            exact = block.transpose(0, 2, 1)[gaps <= min(gaps.min() + 2 * margin, best + margin)]
             exact.sort(axis=1)
             for row in set(map(tuple, exact.tolist())):
                 best = min(best, abs(math.fsum(row) - genuine_term))
     return best
+
+
+def _check_count(value, what: str) -> None:
+    """value must be an integer >= 1; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise DomainError(f"{what} must be an integer >= 1, got {value!r}")
 
 
 def _partition_count(n_groups: int, group_size: int) -> int:
@@ -236,6 +261,7 @@ def partition_discrepancy(
     """One-sided partition measure via exhaustive grouping of the global spectrum; tol is not read."""
     if side not in ("A", "B"):
         raise DomainError(f"side must be 'A' or 'B', got {side!r}")
+    _check_count(max_dim, "max_dim")
     dims = rho.dims
     d = dims.total
     n_groups, group_size = (dims.dA, dims.dB) if side == "A" else (dims.dB, dims.dA)

@@ -7,6 +7,7 @@ measure directly from these numbers with its own rounding helper, so it
 shares no code with the library. An agreement failure therefore points at
 the library, not at a common helper.
 """
+import functools
 import itertools
 import json
 import math
@@ -243,6 +244,36 @@ def enumerated_partition_minimum(global_spectrum, genuine_spectrum, n_groups, gr
         mimicked = math.fsum(_xlog2x(float(evals[list(g)].sum())) for g in partition)
         best = min(best, abs(mimicked - genuine_term))
     return best
+
+
+@functools.lru_cache(maxsize=None)
+def colex_subsets(n, g):
+    """The library's table of g-subsets before it was built with numpy, kept
+    as its reference: itertools.combinations sorted by the reversed tuple,
+    so row r is the subset of colex rank r."""
+    rows = sorted(itertools.combinations(range(n), g), key=lambda c: c[::-1])
+    return np.array(rows, dtype=np.intp).reshape(len(rows), g)
+
+
+@functools.lru_cache(maxsize=None)
+def grouping_tables(n, g):
+    """The library's grouping tables (maps, rows) before they were built in
+    their final dtypes, kept as their reference: a per-anchor comprehension
+    for the complements and intp ranks cast at the end. Building (18, 2)
+    this way peaks at about 173 MB of transient intp arrays."""
+    subsets = colex_subsets(n, g)
+    anchors = np.flatnonzero(subsets[:, 0] == 0)
+    rest = np.array([[i for i in range(n) if i not in s] for s in subsets[anchors].tolist()], dtype=np.intp)
+    local = np.zeros((len(anchors), math.comb(n - g, g)), dtype=np.intp)
+    for i, column in enumerate(colex_subsets(n - g, g).T):
+        local += np.array([math.comb(x, i + 1) for x in range(n)])[rest[:, column]]
+    maps = np.column_stack([local, anchors]).astype(np.min_scalar_type(len(subsets)))
+    tails = np.zeros((1, 0), dtype=np.intp)
+    if n > g:
+        tail_maps, tail_rows = grouping_tables(n - g, g)
+        tails = tail_maps[:, tail_rows].reshape(-1, n // g - 1)
+    rows = np.column_stack([tails, np.full(len(tails), local.shape[1])])
+    return maps, rows.astype(np.min_scalar_type(local.shape[1]))
 
 
 def dense_component_spectra(cluster, dims, tol):

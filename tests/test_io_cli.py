@@ -547,6 +547,12 @@ class TestCliCompute:
         assert str(count) in err
         assert "guard limit 16" in err
 
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_partition_guard_below_one_exits_2(self, tmp_path, capsys, value):
+        path = _write_state(tmp_path, "sigma", sigma())
+        assert main(["compute", "--in", path, "--which", "G", "--max-partition-dim", value]) == 2
+        assert f"max_dim must be an integer >= 1, got {value}" in capsys.readouterr().err
+
 
 class TestCliDetect:
     def test_sigma_human_output(self, tmp_path, capsys):

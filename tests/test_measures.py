@@ -1,6 +1,7 @@
 """Truncation measure, partition measure, and the scalar helpers under them."""
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -294,6 +295,67 @@ class TestPartitionMeasure:
         rho = random_density((2, 2), seed=1)
         with pytest.raises(CapabilityError):
             partition_discrepancy(rho, "A", max_dim=2)
+
+    @pytest.mark.parametrize("bad", [-1, 0, True, 2.0, 16.0, "16", None])
+    def test_guard_limit_must_be_a_positive_integer(self, bad):
+        for compute in (lambda: partition_discrepancy(sigma(), "A", bad), lambda: partition_measure(sigma(), bad)):
+            with pytest.raises(DomainError, match="max_dim must be an integer >= 1"):
+                compute()
+
+    def test_guard_limit_accepts_numpy_integers(self):
+        assert partition_measure(sigma(), np.int64(4)) == partition_measure(sigma())
+
+    @pytest.mark.parametrize(
+        "glob,genuine,n_groups,group_size,name",
+        [
+            ([], [], 0, 0, "n_groups"),
+            ([0.5, 0.5], [0.5, 0.5], 2.0, 1, "n_groups"),
+            ([0.5, 0.5], [1.0], True, 2, "n_groups"),
+            ([0.5, 0.5], [1.0], -1, -2, "n_groups"),
+            ([0.5, 0.5], [1.0], 1, 2.0, "group_size"),
+            ([0.5, 0.5], [0.5, 0.5], 2, True, "group_size"),
+            ([], [0.5], 1, 0, "group_size"),
+        ],
+    )
+    def test_mimic_shape_must_be_positive_integers(self, glob, genuine, n_groups, group_size, name):
+        with pytest.raises(DomainError, match=f"{name} must be an integer >= 1"):
+            mimic_discrepancy(glob, genuine, n_groups, group_size)
+
+
+_DIVISOR_PAIRS = [(n, g) for n in range(1, 17) for g in range(1, n + 1) if n % g == 0]
+
+
+class TestGroupingTables:
+    """The numpy-built subset and grouping tables against the builders they
+    replaced (oracles.colex_subsets and oracles.grouping_tables)."""
+
+    @pytest.mark.parametrize("n,g", _DIVISOR_PAIRS)
+    def test_tables_equal_the_reference(self, n, g):
+        got_tables = (measures._subsets(n, g), *measures._split(n, g))
+        want_tables = (oracles.colex_subsets(n, g), *oracles.grouping_tables(n, g))
+        for got, want in zip(got_tables, want_tables):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n,g", _DIVISOR_PAIRS)
+    def test_one_row_per_grouping(self, n, g):
+        maps, rows = measures._split(n, g)
+        assert len(maps) * len(rows) == measures._partition_count(n // g, g)
+
+    def test_tables_at_total_dimension_18_peak_below_40_mib(self):
+        """The kept rows of _split(18, 2) are 17.4 MiB; building them through
+        intp arrays peaked at 173 MB."""
+        measures._split.cache_clear()
+        measures._subsets.cache_clear()
+        tracemalloc.start()
+        try:
+            measures._split(18, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            measures._split.cache_clear()
+            measures._subsets.cache_clear()
+        assert peak < 40 * 2**20
 
 
 def _spectra(kind, dims, seed):
