@@ -19,7 +19,7 @@ from .detect import DetectionVerdict, classify
 from .errors import CapabilityError, DomainError, MalformedInputError
 from .io import Report, format_float, matrix_as_pairs, read_state_file, state_file_text, write_state_file
 from .linalg import DensityMatrix
-from .measures import MeasureReport, partition_discrepancy, truncation_measure
+from .measures import MAX_PARTITION_DIM, MeasureReport, partition_discrepancy, truncation_measure
 from .states import StateSpec, build, random_density
 
 
@@ -43,7 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", parents=[reporting], help="compute measures for a state file")
     p_compute.add_argument("--in", dest="infile", required=True, help="state file path")
     p_compute.add_argument("--which", choices=["M", "G", "all"], default="M")
-    p_compute.add_argument("--max-partition-dim", type=int, default=16, help="guard limit for the partition measure")
+    p_compute.add_argument(
+        "--max-partition-dim", type=int, default=MAX_PARTITION_DIM, help="guard limit for the partition measure"
+    )
     p_compute.set_defaults(func=cmd_compute)
 
     p_detect = sub.add_parser("detect", parents=[reporting], help="classify a state file")

@@ -64,12 +64,6 @@ def _offdiag_norm(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat - np.diag(np.diagonal(mat)), "fro"))
 
 
-def _overlaps(local: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Local components as columns, and the Gram matrix |<v_i|v_j>| of them."""
-    vectors = np.column_stack(local)
-    return vectors, np.abs(vectors.conj().T @ vectors)
-
-
 def _group_by_overlap(vectors: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Assign each vector a group label, merging vectors equal up to phase.
 
@@ -98,8 +92,7 @@ def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TO
     gap = _min_gap(values[nonzero])
     if gap <= tol.deg:
         return TestOutcome(name, "not-applicable", gap, "nonzero spectrum is degenerate")
-    locals_a: list[np.ndarray] = []
-    locals_b: list[np.ndarray] = []
+    factors = []  # (A part, B part) of each nonzero eigenvector
     for i in nonzero:
         schmidt = schmidt_decomposition(vectors[:, i], dims, tol)
         if schmidt.rank >= 2:
@@ -109,10 +102,11 @@ def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TO
                 float(schmidt.coefficients[1]),
                 f"eigenvector of eigenvalue {values[i]:.6g} has Schmidt rank {schmidt.rank}",
             )
-        locals_a.append(schmidt.vectors_a[:, 0])
-        locals_b.append(schmidt.vectors_b[:, 0])
-    overlaps = {"A": _overlaps(locals_a), "B": _overlaps(locals_b)}
-    for side, (_, gram) in overlaps.items():
+        factors.append((schmidt.vectors_a[:, 0], schmidt.vectors_b[:, 0]))
+    overlaps = []  # per side: local components as columns, and their Gram matrix |<v_i|v_j>|
+    for side, local in zip("AB", zip(*factors)):
+        vectors = np.column_stack(local)
+        gram = np.abs(vectors.conj().T @ vectors)
         # argwhere is row-major: the witness is the first offending pair i < j in that order.
         offending = np.argwhere(np.triu((gram > tol.orth) & (gram < 1 - tol.orth), 1))
         if len(offending):
@@ -122,6 +116,7 @@ def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TO
                 float(gram[tuple(offending[0])]),
                 f"subsystem {side} eigenvector components neither orthogonal nor equal",
             )
+        overlaps.append((vectors, gram))
     if len(nonzero) < dims.total:
         return TestOutcome(
             name,
@@ -129,8 +124,7 @@ def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TO
             float(len(nonzero)),
             "product checks passed but the spectrum is rank-deficient",
         )
-    basis_a, labels_a = _group_by_overlap(*overlaps["A"])
-    basis_b, labels_b = _group_by_overlap(*overlaps["B"])
+    (basis_a, labels_a), (basis_b, labels_b) = (_group_by_overlap(*pair) for pair in overlaps)
     weights = np.zeros((dims.dA, dims.dB))
     weights[labels_a, labels_b] = values[nonzero]
     residual = float(np.linalg.norm(rho.mat - _product_basis_matrix(basis_a, basis_b, weights), "fro"))
@@ -187,14 +181,11 @@ def _conditional_blocks(rho: DensityMatrix, basis: np.ndarray, sandwiched: str) 
 
 
 def _joint_eigenbasis(blocks: np.ndarray, tol: Tolerances) -> np.ndarray | None:
-    """Common eigenbasis of commuting Hermitian matrices, or None on failure."""
-    rng = np.random.default_rng(7)
-    for _ in range(8):
-        coeff = rng.standard_normal(len(blocks))
-        combined = sum(c * b for c, b in zip(coeff, blocks))
-        _, p = np.linalg.eigh(combined)
-        if all(_offdiag_norm(p.conj().T @ b @ p) <= tol.offdiag for b in blocks):
-            return p
+    """Common eigenbasis of commuting Hermitian matrices from one fixed random combination, or None."""
+    coeff = np.random.default_rng(7).standard_normal(len(blocks))
+    _, p = np.linalg.eigh(sum(c * b for c, b in zip(coeff, blocks)))
+    if all(_offdiag_norm(p.conj().T @ b @ p) <= tol.offdiag for b in blocks):
+        return p
     return None
 
 
@@ -305,16 +296,13 @@ def classify(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> Detect
     fell, so the trail never hides a later test's result.
     """
     evidence = tuple(d(rho, tol) for d in _DETECTORS)
-    applied = tuple(o.test for o in evidence)
-    for o in evidence:
-        if o.decisive:
-            return DetectionVerdict(
-                verdict=CLASSICAL if o.outcome == "classical" else NONCLASSICAL,
-                decided_by=o.test,
-                evidence=evidence,
-                applied=applied,
-                basis_a=o.basis_a,
-                basis_b=o.basis_b,
-                weights=o.weights,
-            )
-    return DetectionVerdict(verdict=UNKNOWN, decided_by=None, evidence=evidence, applied=applied)
+    decider = next((o for o in evidence if o.decisive), None)
+    return DetectionVerdict(
+        verdict=UNKNOWN if decider is None else CLASSICAL if decider.outcome == "classical" else NONCLASSICAL,
+        decided_by=getattr(decider, "test", None),
+        evidence=evidence,
+        applied=tuple(o.test for o in evidence),
+        basis_a=getattr(decider, "basis_a", None),
+        basis_b=getattr(decider, "basis_b", None),
+        weights=getattr(decider, "weights", None),
+    )

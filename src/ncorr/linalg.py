@@ -56,9 +56,11 @@ def _eigensystem(mat: np.ndarray) -> EigenSystem:
 
 
 def _check_hermitian(mat: np.ndarray, herm_tol: float) -> None:
-    """Reject a matrix that is not square, or not Hermitian to within herm_tol."""
+    """Reject a matrix that is not square, has a NaN or infinite entry, or is not Hermitian to within herm_tol."""
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise MalformedInputError(f"expected a square matrix, got shape {mat.shape}")
+    if not np.isfinite(mat).all():  # before the subtraction, where inf - inf would warn
+        raise MalformedInputError("matrix has non-finite (NaN or infinite) entries")
     herm_err = np.abs(mat - mat.conj().T).max()
     if herm_err > herm_tol:
         raise MalformedInputError(f"matrix is not Hermitian: max |m - m^dag| = {herm_err:.3e}")
@@ -92,8 +94,6 @@ class DensityMatrix:
             raise MalformedInputError(
                 f"matrix shape {mat.shape} does not match dims {self.dims.dA}x{self.dims.dB} (need {d}x{d})"
             )
-        if not np.isfinite(mat).all():
-            raise MalformedInputError("matrix has non-finite (NaN or infinite) entries")
         _check_hermitian(mat, tol.herm)
         tr_err = abs(mat.trace() - 1.0)
         if tr_err > tol.trace:

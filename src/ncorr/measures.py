@@ -26,6 +26,7 @@ from .spectral import TruncatedComponent, decompose
 
 _QUOTA_SLACK = 1e-9  # relative headroom over the quota before x is out of domain
 _BLOCK = 1 << 15  # group terms per block of the partition search: ~1 MB of work arrays
+MAX_PARTITION_DIM = 16  # default guard limit on the total dimension of the partition search
 
 
 def nearest_integer_multiple(x: float, y: float, tie_tol: float = DEFAULT_TOLERANCES.tie) -> float:
@@ -35,8 +36,8 @@ def nearest_integer_multiple(x: float, y: float, tie_tol: float = DEFAULT_TOLERA
     tie_tol * y of y/2, so half-way points reached through floating-point
     noise still round down deterministically.
     """
-    if x < 0 or y < 0:
-        raise DomainError(f"arguments must be nonnegative, got x={x}, y={y}")
+    if not (0 <= x < math.inf and 0 <= y < math.inf):
+        raise DomainError(f"arguments must be nonnegative and finite, got x={x}, y={y}")
     if y == 0:
         return 0.0
     q = math.floor(x / y)
@@ -53,15 +54,16 @@ def surprisal_term(x: float, y: float, quota: float) -> float:
 
     x must lie in (0, quota]; the result is nonnegative because the log factor
     is then nonpositive. Tiny positive excursions from rounding are clamped.
+    Each check is written so that NaN and infinite arguments fail it.
     """
-    if quota <= 0:
-        raise DomainError(f"quota must be positive, got {quota}")
-    if x <= 0:
+    if not 0 < quota < math.inf:
+        raise DomainError(f"quota must be positive and finite, got {quota}")
+    if not x > 0:
         raise DomainError(f"x must be positive, got {x}")
-    if x > quota * (1 + _QUOTA_SLACK):
+    if not x <= quota * (1 + _QUOTA_SLACK):
         raise DomainError(f"x={x} exceeds quota={quota}")
-    if y < 0:
-        raise DomainError(f"y must be nonnegative, got {y}")
+    if not 0 <= y < math.inf:
+        raise DomainError(f"y must be nonnegative and finite, got {y}")
     return max(0.0, -abs(x - y) * math.log2(x / quota))
 
 
@@ -256,7 +258,7 @@ def _partition_count(n_groups: int, group_size: int) -> int:
 
 
 def partition_discrepancy(
-    rho: DensityMatrix, side: str, max_dim: int = 16, tol: Tolerances = DEFAULT_TOLERANCES
+    rho: DensityMatrix, side: str, max_dim: int = MAX_PARTITION_DIM, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
     """One-sided partition measure via exhaustive grouping of the global spectrum; tol is not read."""
     if side not in ("A", "B"):
@@ -274,7 +276,7 @@ def partition_discrepancy(
     return mimic_discrepancy(rho.eig.values, rho.reduced_eig[side].values, n_groups, group_size)
 
 
-def partition_measure(rho: DensityMatrix, max_dim: int = 16) -> float:
+def partition_measure(rho: DensityMatrix, max_dim: int = MAX_PARTITION_DIM) -> float:
     """Larger of the two one-sided partition discrepancies."""
     return max(partition_discrepancy(rho, "A", max_dim), partition_discrepancy(rho, "B", max_dim))
 
@@ -314,7 +316,7 @@ def schmidt_decomposition(vec: np.ndarray, dims, tol: Tolerances = DEFAULT_TOLER
     if vec.shape[0] != dims.total:
         raise MalformedInputError(f"vector length {vec.shape[0]} does not match dims {dims.dA}x{dims.dB}")
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > tol.trace:
+    if not abs(norm - 1.0) <= tol.trace:  # a NaN norm fails too
         raise DomainError(f"vector norm {norm} is not 1")
     u, s, vh = np.linalg.svd(vec.reshape(dims.dA, dims.dB), full_matrices=False)
     keep = s**2 > tol.rank

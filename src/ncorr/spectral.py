@@ -35,10 +35,6 @@ class SpectralDecomposition:
     clusters: tuple[EigenCluster, ...]
     dropped: int  # eigenvalues discarded as numerically zero
 
-    @property
-    def distinct_count(self) -> int:
-        return len(self.clusters)
-
 
 @dataclass(frozen=True, eq=False)
 class TruncatedComponent:
@@ -59,27 +55,22 @@ class TruncatedComponent:
 def cluster_spectrum(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDecomposition:
     """Group the eigenvalues of rho into distinct-value clusters.
 
-    Sorted eigenvalues chain into one cluster while consecutive gaps stay at or
-    below tol.deg; each cluster is represented by the mean of its members.
-    Clusters whose representative is at or below tol.zero are dropped.
+    rho.eig's eigenvalues ascend, and each cluster is a contiguous run of them
+    that splits where a consecutive gap exceeds tol.deg; it is represented by
+    the mean of its members. Clusters whose mean is at or below tol.zero are
+    dropped.
     """
     if not isinstance(rho, DensityMatrix):
         raise MalformedInputError("cluster_spectrum expects a DensityMatrix")
     values, vectors = rho.eig
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] <= tol.deg:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+    bounds = [0, *(np.flatnonzero(np.diff(values) > tol.deg) + 1).tolist(), len(values)]
     clusters = []
-    dropped = 0
-    for idx in groups:
-        eta = float(values[idx].mean())
-        if eta <= tol.zero:
-            dropped += len(idx)
-            continue
-        clusters.append(EigenCluster(eta=eta, multiplicity=len(idx), vectors=vectors[:, idx]))
+    for lo, hi in zip(bounds, bounds[1:]):
+        eta = float(values[lo:hi].mean())
+        if eta > tol.zero:
+            # A column-major copy: the bits of truncated_component's products depend on the layout.
+            clusters.append(EigenCluster(eta=eta, multiplicity=hi - lo, vectors=vectors[:, lo:hi].copy(order="F")))
+    dropped = len(values) - sum(c.multiplicity for c in clusters)
     return SpectralDecomposition(clusters=tuple(clusters), dropped=dropped)
 
 

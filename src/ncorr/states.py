@@ -85,11 +85,13 @@ def zeta() -> DensityMatrix:
 
 
 def _rng(seed) -> np.random.Generator:
-    """np.random.default_rng(seed), with a negative seed a DomainError."""
-    try:
-        return np.random.default_rng(seed)
-    except ValueError:
-        raise DomainError(f"seed must be a nonnegative integer or a sequence of them, got {seed!r}") from None
+    """np.random.default_rng(seed); a negative, non-integer or bool seed is a DomainError."""
+    if not isinstance(seed, bool):
+        try:
+            return np.random.default_rng(seed)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"seed must be a nonnegative integer or a sequence of them, got {seed!r}")
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -126,6 +128,7 @@ def xi_prime() -> DensityMatrix:
 
 def bell(n: int = 2) -> DensityMatrix:
     """Maximally entangled pure state sum_i |ii> / sqrt(n) on n x n."""
+    n = _as_int(n, "n")
     if n < 2:
         raise DomainError(f"bell needs n >= 2, got {n}")
     vec = np.zeros(n * n, dtype=np.complex128)

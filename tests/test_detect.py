@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from ncorr import (
     CLASSICAL,
+    DEFAULT_TOLERANCES,
     NONCLASSICAL,
     UNKNOWN,
     DensityMatrix,
@@ -25,6 +26,7 @@ from ncorr import (
     tau,
     varsigma,
 )
+from ncorr.detect import _joint_eigenbasis
 
 
 def reconstruct(basis_a, basis_b, weights):
@@ -144,6 +146,26 @@ class TestLocalOneNondegenerate:
         out = detect_local_one_nondegenerate(rho)
         assert out.outcome == "nonclassical"
         assert "not block-diagonal" in out.detail
+
+    def test_blocks_without_a_joint_eigenbasis_stay_inconclusive(self):
+        """Conditional A blocks I/2 + X_j over B's basis, with X_0 = 5e-5 Z and X_1 = 5e-5 X.
+        Their commutators sit below tol.comm, yet no basis diagonalizes Z and X at once, so the
+        joint-eigenbasis step fails; the global detector still decides the state."""
+        z = np.diag([1.0, -1.0]).astype(complex)
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        w = (0.2, 0.3, 0.5)
+        xs = [5e-5 * z, 5e-5 * x]
+        xs.append(-(w[0] * xs[0] + w[1] * xs[1]) / w[2])
+        blocks = [wj * (np.eye(2) / 2 + xj) for wj, xj in zip(w, xs)]
+        mat = sum(np.kron(b, projector(np.eye(3)[:, j])) for j, b in enumerate(blocks))
+        rho = DensityMatrix(mat, (2, 3))
+        out = detect_local_one_nondegenerate(rho)
+        assert out.outcome == "inconclusive"
+        assert "failed to jointly diagonalize" in out.detail
+        assert out.witness == pytest.approx(4.24e-10, rel=1e-2)
+        verdict = classify(rho)
+        assert (verdict.verdict, verdict.decided_by) == (NONCLASSICAL, "global-nondegenerate")
+        assert _joint_eigenbasis(np.stack([z, x]), DEFAULT_TOLERANCES) is None
 
 
 class TestNecessaryConditions:

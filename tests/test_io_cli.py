@@ -6,6 +6,7 @@ the installed entry point end to end.
 """
 
 import argparse
+import inspect
 import json
 import math
 import re
@@ -24,6 +25,8 @@ from ncorr import (
     DensityMatrix,
     MalformedInputError,
     bell,
+    partition_discrepancy,
+    partition_measure,
     phi_p,
     random_classical,
     random_density,
@@ -546,6 +549,11 @@ class TestCliCompute:
         count = math.factorial(25) // (math.factorial(5) ** 5 * math.factorial(5))
         assert str(count) in err
         assert "guard limit 16" in err
+
+    def test_partition_guard_default_is_the_library_default(self):
+        parsed = _build_parser().parse_args(["compute", "--in", "x.json"]).max_partition_dim
+        for fn in (partition_discrepancy, partition_measure):
+            assert inspect.signature(fn).parameters["max_dim"].default == parsed
 
     @pytest.mark.parametrize("value", ["-1", "0"])
     def test_partition_guard_below_one_exits_2(self, tmp_path, capsys, value):

@@ -18,6 +18,7 @@ from ncorr import (
     CapabilityError,
     DensityMatrix,
     DomainError,
+    MalformedInputError,
     StateSpec,
     Tolerances,
     bell,
@@ -80,6 +81,12 @@ class TestNearestIntegerMultiple:
         with pytest.raises(DomainError, match="nonnegative"):
             nearest_integer_multiple(0.1, -0.5)
 
+    @pytest.mark.parametrize("x,y", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf), (1.0, math.nan)])
+    def test_rejects_non_finite(self, x, y):
+        """A DomainError, not math's ValueError or OverflowError, and never an infinite multiple."""
+        with pytest.raises(DomainError, match="nonnegative and finite"):
+            nearest_integer_multiple(x, y)
+
     @given(st.floats(0, 20), st.floats(1e-6, 10))
     def test_result_is_a_close_multiple(self, ratio, y):
         x = ratio * y
@@ -112,6 +119,11 @@ class TestSurprisalTerm:
             (0.5, 0.1, 0.4, "exceeds quota"),
             (0.5, 0.1, 0.0, "quota must be positive"),
             (0.5, -0.1, 1.0, "y must be nonnegative"),
+            (math.nan, 0.1, 1.0, "x must be positive"),
+            (0.5, math.nan, 1.0, "y must be nonnegative and finite"),
+            (0.5, math.inf, 1.0, "y must be nonnegative and finite"),
+            (0.5, 0.1, math.nan, "quota must be positive and finite"),
+            (0.5, 0.1, math.inf, "quota must be positive and finite"),
         ],
     )
     def test_domain_errors(self, x, y, quota, match):
@@ -466,6 +478,12 @@ class TestEntropyHelpers:
         with pytest.raises(DomainError, match="not positive semidefinite"):
             von_neumann_entropy(np.diag([1.2, -0.2]))
 
+    @pytest.mark.parametrize("mat", [np.full((2, 2), np.nan), np.diag([np.inf, 1.0])])
+    def test_von_neumann_rejects_non_finite(self, mat):
+        """Rejected before the eigendecomposition, and before inf - inf can warn."""
+        with pytest.raises(MalformedInputError, match="non-finite"):
+            von_neumann_entropy(mat)
+
     def test_zero_entropies_are_positive_zero(self):
         """A pure or product reduced state has entropy +0.0, which prints as 0, not -0."""
         report = truncation_measure(phi_p(0.0))
@@ -503,11 +521,15 @@ class TestSchmidt:
         dec = schmidt_decomposition(vec, (2, 2), Tolerances(trace=1e-7))
         assert dec.coefficients.tolist() == pytest.approx([1 + 2e-8], abs=1e-15)
 
+    @pytest.mark.parametrize("fn", [schmidt_decomposition, entropy_of_entanglement])
+    def test_rejects_nan_vector(self, fn):
+        """A NaN norm fails the norm check, so numpy's SVD never sees the vector."""
+        with pytest.raises(DomainError, match="norm"):
+            fn(np.array([np.nan, 0, 0, 1]), (2, 2))
+
     def test_rejects_length_mismatch(self):
         vec = np.zeros(4)
         vec[0] = 1
-        from ncorr import MalformedInputError
-
         with pytest.raises(MalformedInputError, match="does not match dims"):
             schmidt_decomposition(vec, (2, 3))
 

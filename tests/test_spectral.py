@@ -17,6 +17,7 @@ from ncorr import (
     bell,
     cluster_spectrum,
     decompose,
+    haar_unitary,
     random_classical,
     random_density,
     sigma,
@@ -39,7 +40,7 @@ def test_rejects_raw_matrix():
 
 def test_varsigma_single_cluster():
     dec = cluster_spectrum(varsigma())
-    assert dec.distinct_count == 1
+    assert len(dec.clusters) == 1
     assert dec.dropped == 2
     (c,) = dec.clusters
     assert c.eta == pytest.approx(0.5, abs=1e-12)
@@ -49,7 +50,7 @@ def test_varsigma_single_cluster():
 
 def test_sigma_three_simple_clusters():
     dec = cluster_spectrum(sigma())
-    assert dec.distinct_count == 3
+    assert len(dec.clusters) == 3
     assert dec.dropped == 1
     etas = [c.eta for c in dec.clusters]
     assert_allclose(etas, [1 / 6, 1 / 3, 1 / 2], atol=1e-12)
@@ -65,7 +66,7 @@ def test_tau_triple_cluster():
 
 def test_zeta_quadruple_cluster():
     dec = cluster_spectrum(zeta())
-    assert dec.distinct_count == 1
+    assert len(dec.clusters) == 1
     assert dec.clusters[0].multiplicity == 4
 
 
@@ -95,10 +96,42 @@ def test_xi_prime_multiplicities():
 def test_deg_tolerance_merges_near_degenerate_pairs():
     mat = np.diag([0.1, 0.1 + 1e-6, 0.4 - 1e-6, 0.4])
     rho = DensityMatrix(mat, (2, 2))
-    assert cluster_spectrum(rho).distinct_count == 4
+    assert len(cluster_spectrum(rho).clusters) == 4
     merged = cluster_spectrum(rho, replace(DEFAULT_TOLERANCES, deg=1e-5))
-    assert merged.distinct_count == 2
+    assert len(merged.clusters) == 2
     assert [c.multiplicity for c in merged.clusters] == [2, 2]
+
+
+def _chained_runs(values, deg):
+    """Reference: index lists grown one index at a time while each gap stays at or below deg."""
+    groups = [[0]]
+    for i in range(1, len(values)):
+        if values[i] - values[i - 1] <= deg:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
+
+
+@given(st.integers(0, 40), st.sampled_from([1e-9, 1e-5, 0.05]))
+def test_clusters_match_the_chained_index_lists(seed, deg):
+    """Near-repeats at half and twice deg, so chains both form and break at the edge."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.0, 1.0, 4)
+    base *= (1 - 6 * deg) / (2 * base.sum() + base[:2].sum())  # unit trace, offsets kept exact
+    spectrum = np.concatenate([base, base + deg / 2, base[:2] + 2 * deg, [0.0, 1e-14]])
+    u = haar_unitary(12, rng)
+    rho = DensityMatrix((u * spectrum) @ u.conj().T, (3, 4))
+    tol = replace(DEFAULT_TOLERANCES, deg=deg)
+    values, vectors = rho.eig
+    kept = [idx for idx in _chained_runs(values, deg) if float(values[idx].mean()) > tol.zero]
+    dec = cluster_spectrum(rho, tol)
+    assert [c.eta for c in dec.clusters] == [float(values[idx].mean()) for idx in kept]
+    for c, idx in zip(dec.clusters, kept):
+        assert c.multiplicity == len(idx)
+        assert np.array_equal(c.vectors, vectors[:, idx])
+        assert c.vectors.strides == vectors[:, idx].strides
+    assert dec.dropped == len(values) - sum(map(len, kept))
 
 
 def test_component_matrix_is_scaled_projector():
@@ -113,6 +146,12 @@ def test_component_matrix_is_scaled_projector():
     assert (comp.eta * projector).trace() == pytest.approx(quota, abs=1e-12)
     assert math.fsum(comp.spectrum_a) == pytest.approx(quota, abs=1e-12)
     assert math.fsum(comp.spectrum_b) == pytest.approx(quota, abs=1e-12)
+
+
+def test_truncated_component_rejects_dims_mismatch():
+    cluster = cluster_spectrum(sigma()).clusters[0]
+    with pytest.raises(MalformedInputError, match="does not match dims"):
+        truncated_component(cluster, (2, 3))
 
 
 def test_components_sum_back_to_state():

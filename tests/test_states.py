@@ -116,6 +116,15 @@ class TestBellFamily:
         with pytest.raises(DomainError, match="n >= 2"):
             bell(1)
 
+    @pytest.mark.parametrize("n", [2.5, True, "3"])
+    def test_rejects_non_integer_n(self, n):
+        """Read like the CLI's N, so numpy never sees a non-integer size."""
+        with pytest.raises(MalformedInputError, match="n must be an integer"):
+            bell(n)
+
+    def test_integral_float_n(self):
+        assert np.array_equal(bell(2.0).mat, bell(2).mat)
+
 
 class TestPhiFamily:
     def test_endpoints_are_products(self):
@@ -212,6 +221,27 @@ class TestRandomGenerators:
     def test_negative_seed_is_a_domain_error(self, make):
         with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
             make()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_density((2, 2), seed=1.5),
+            lambda: random_density((2, 2), seed=True),
+            lambda: random_classical((2, 2), seed=True),
+            lambda: random_local_unitary((2, 2), seed=2.0),
+            lambda: zeta_prime(seed_a=False),
+        ],
+    )
+    def test_non_integer_or_bool_seed_is_a_domain_error(self, make):
+        """A float seed is numpy's TypeError, and a bool would pass as 0 or 1."""
+        with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+            make()
+
+    def test_sequence_seeds_still_work(self):
+        """run_bench seeds its states with [seed, n, trial]."""
+        a = random_density((2, 2), seed=[0, 2, 1])
+        assert np.array_equal(a.mat, random_density((2, 2), seed=[0, 2, 1]).mat)
+        assert not np.array_equal(a.mat, random_density((2, 2), seed=[0, 2, 0]).mat)
 
     def test_random_density_seed_determinism(self):
         a = random_density((2, 2), seed=17)
