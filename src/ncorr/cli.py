@@ -83,6 +83,8 @@ def _parse_params(pairs: Sequence[str]) -> dict[str, float]:
         key, sep, value = pair.partition("=")
         if not sep or not key:
             raise MalformedInputError(f"--param expects KEY=VALUE, got {pair!r}")
+        if key in params:
+            raise MalformedInputError(f"--param {key} is given twice")
         try:
             params[key] = float(value)
         except ValueError:

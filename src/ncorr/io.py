@@ -4,11 +4,21 @@ State files are JSON with explicit real/imaginary pairs; all floating-point
 numbers in files, reports and CSV output are rendered with 17 significant
 digits so a parsed value is bit-identical to the emitted one. The one
 exception is -0.0: it is written "-0", which JSON reads as the integer 0.
+
+A state file is written, and read back, a block of about _BLOCK [re, im]
+pairs (whole rows) at a time, so a large state never holds a Python float or
+a JSON list for every entry at once. The block reader takes only a text in
+the writer's exact layout (header, row separators and trailer as written,
+dims of at most nine digits) whose matrix spans more than one block; each
+row inside it is decoded by json itself. Every other text, including every
+file that fits in one block, goes through one json.loads of the whole text,
+which also words every error message.
 """
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -16,6 +26,8 @@ import numpy as np
 
 from .errors import MalformedInputError
 from .linalg import BipartiteDims, DensityMatrix
+
+_BLOCK = 1 << 12  # [re, im] pairs per block of a state file: ~0.5 MB of JSON lists
 
 
 def format_float(x: float) -> str:
@@ -60,15 +72,29 @@ def state_file_text(state: DensityMatrix) -> str:
     return _state_text(state.mat, state.dims)
 
 
+# The state file layout up to the first row (which _read_blocks matches),
+# between two rows, and after the last row.
+_HEAD = re.compile(r'\{\n  "dims": \[([1-9][0-9]{0,8}), ([1-9][0-9]{0,8})\],\n  "matrix": \[\n    ')
+_ROW_SEP = ",\n    "
+_TAIL = "\n  ]\n}\n"
+
+
 def _state_text(mat: np.ndarray, dims: BipartiteDims) -> str:
     """The text dumps gives for {"dims": ..., "matrix": [re, im] pairs of mat},
-    filled in one % operation. %.17g renders a double as format_float does;
-    mat must be finite, as a validated state is, since nothing here checks."""
+    filled one block of rows at a time, with one % operation per block.
+    %.17g renders a double as format_float does; mat must be finite, as a
+    validated state is, since nothing here checks."""
     d = dims.total
-    entries = ",\n".join(["      [%.17g, %.17g]"] * d)
-    rows = ",\n".join(["    [\n" + entries + "\n    ]"] * d)
-    template = f'{{\n  "dims": [{dims.dA}, {dims.dB}],\n  "matrix": [\n{rows}\n  ]\n}}\n'
-    return template % tuple(np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64).ravel().tolist())
+    pairs = np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64).reshape(d, 2 * d)
+    row = "[\n" + ",\n".join(["      [%.17g, %.17g]"] * d) + "\n    ]"
+    step = _rows_per_block(d)
+    chunks = (pairs[r0 : r0 + step] for r0 in range(0, d, step))
+    body = _ROW_SEP.join([_ROW_SEP.join([row] * len(c)) % tuple(c.ravel().tolist()) for c in chunks])
+    return f'{{\n  "dims": [{dims.dA}, {dims.dB}],\n  "matrix": [\n    {body}{_TAIL}'
+
+
+def _rows_per_block(d: int) -> int:
+    return min(d, max(1, _BLOCK // d))
 
 
 def write_state_file(path: str, state: DensityMatrix) -> None:
@@ -78,6 +104,10 @@ def write_state_file(path: str, state: DensityMatrix) -> None:
 
 def parse_state_text(text: str) -> DensityMatrix:
     """Parse and validate the state file schema, then the physics."""
+    # A matrix of more than _BLOCK pairs takes more than 6 * _BLOCK characters.
+    blocked = _read_blocks(text) if len(text) > 6 * _BLOCK else None
+    if blocked is not None:
+        return DensityMatrix(*blocked)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -102,17 +132,64 @@ def parse_state_text(text: str) -> DensityMatrix:
     return DensityMatrix(_matrix_from_rows(rows, d), dims)
 
 
-def _matrix_from_rows(rows: list, d: int) -> np.ndarray:
-    """The d x d complex matrix of d rows of [re, im] pairs, converted in one
-    pass. JSON numbers arrive as int or float; bool, None, strings and lists
-    nested too deep or too shallow fail the shape or type check."""
+def _read_blocks(text: str) -> tuple[np.ndarray, BipartiteDims] | None:
+    """The matrix and dims of a text in _state_text's layout, read a block of
+    rows at a time: json decodes each row, and each block passes _pairs'
+    check into one preallocated array. None sends the text down the
+    whole-text path. A valid text has at least 6 characters per pair, so a
+    shorter one gets no array."""
+    head = _HEAD.match(text)
+    if head is None:
+        return None
+    dims = BipartiteDims(int(head[1]), int(head[2]))
+    d = dims.total
+    if not _BLOCK < d * d <= len(text) // 6:
+        return None
+    pos = head.end()
+    decode = json.JSONDecoder().raw_decode
+    out = np.empty((d, d, 2))
+    step = _rows_per_block(d)
+    for r0 in range(0, d, step):
+        rows = []
+        for i in range(r0, min(r0 + step, d)):
+            try:
+                row, pos = decode(text, pos)
+            except ValueError:
+                return None
+            rows.append(row)
+            after = _ROW_SEP if i + 1 < d else _TAIL
+            if not text.startswith(after, pos):
+                return None
+            pos += len(after)
+        block = _pairs(rows, (len(rows), d, 2))
+        if block is None:
+            return None
+        out[r0 : r0 + len(rows)] = block
+    if pos != len(text):
+        return None
+    return out.view(np.complex128)[..., 0], dims
+
+
+def _pairs(rows: list, shape: tuple) -> np.ndarray | None:
+    """rows as a float64 array of the given shape, converted in one pass, or
+    None. JSON numbers arrive as int or float; bool, None, strings, lists
+    nested too deep or too shallow and integers too large for a double fail."""
     try:
         arr = np.array(rows, dtype=object)
-        if arr.shape == (d, d, 2) and set(map(type, arr.flat)) <= {int, float}:
-            return arr.astype(np.float64).view(np.complex128)[..., 0]
+        if arr.shape == shape and set(map(type, arr.flat)) <= {int, float}:
+            return arr.astype(np.float64)
     except (ValueError, OverflowError):
         pass
-    _reject_rows(rows, d)
+    return None
+
+
+def _matrix_from_rows(rows: list, d: int) -> np.ndarray:
+    """The d x d complex matrix of d rows of [re, im] pairs, converted in one
+    pass; a malformed row or entry is named by _reject_rows."""
+    pairs = _pairs(rows, (d, d, 2))
+    if pairs is None:
+        _reject_rows(rows, d)
+    return pairs.view(np.complex128)[..., 0]
 
 
 def _reject_rows(rows: list, d: int) -> NoReturn:

@@ -85,13 +85,20 @@ def zeta() -> DensityMatrix:
 
 
 def _rng(seed) -> np.random.Generator:
-    """np.random.default_rng(seed); a negative, non-integer or bool seed is a DomainError."""
-    if not isinstance(seed, bool):
+    """np.random.default_rng(seed); a negative, non-integer or bool seed, or a
+    sequence holding a bool (which numpy reads as 0 or 1), is a DomainError."""
+    if not _holds_bool(seed):
         try:
             return np.random.default_rng(seed)
         except (TypeError, ValueError):
             pass
     raise DomainError(f"seed must be a nonnegative integer or a sequence of them, got {seed!r}")
+
+
+def _holds_bool(seed) -> bool:
+    if isinstance(seed, (list, tuple)):
+        return any(map(_holds_bool, seed))
+    return isinstance(seed, bool)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -6,6 +6,7 @@ the installed entry point end to end.
 """
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -13,10 +14,11 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ncorr
@@ -43,7 +45,9 @@ from ncorr import (
 )
 from ncorr.cli import _build_parser, main, run_bench, run_sweep
 from ncorr.io import (
+    _BLOCK,
     _matrix_from_rows,
+    _read_blocks,
     _state_text,
     dumps,
     format_float,
@@ -135,6 +139,13 @@ _BOOL_DIMS = (
     '{"dims": [true, true], "matrix": [[[1, 0]]]}',
     '{"dims": [true, 2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}',
 )
+
+
+# At 40 pairs a block, the 9 rows of a 3x3 file are read in blocks of 4, 4
+# and 1, as the 91 rows of a 7x13 file are at 4096 pairs a block.
+_SMALL_BLOCK = 40
+_MUTATIONS = ("none", "number", "drop_pair", "trailing_key", "trailing_text", "matrix_first", "reindent")
+_LITERALS = ("true", "null", '"1"', "NaN", "-0", "9" * 400)
 
 
 class TestStateFiles:
@@ -232,16 +243,47 @@ class TestStateFiles:
 
     def test_one_pass_io_equals_per_entry_reference(self):
         """state_file_text and parse_state_text give the text and the bits of
-        the per-entry serializer and parser in tests/oracles.py."""
-        checked = 0
+        the per-entry serializer and parser in tests/oracles.py, on files that
+        fit in one block and on files written and read in three or more."""
+        checked = multi_block = 0
         for rho in _cross_check_states():
             text = state_file_text(rho)
             assert text == per_entry_state_file_text(rho.mat, rho.dims)
             back = parse_state_text(text)
             assert back.dims == rho.dims
             assert _bits(back.mat) == _bits(per_entry_parse_state_text(text).mat) == _bits(rho.mat)
+            if rho.dims.total**2 > 2 * _BLOCK:
+                assert _bits(_read_blocks(text)[0]) == _bits(rho.mat)
+                multi_block += 1
             checked += 1
         assert checked >= 250
+        assert multi_block >= 2
+
+    @given(st.sampled_from(_MUTATIONS), st.integers(0, 8), st.integers(0, 8), st.sampled_from(_LITERALS))
+    @example("number", 8, 0, _LITERALS[0])
+    @example("number", 8, 8, _LITERALS[1])
+    @example("number", 8, 3, _LITERALS[2])
+    @example("number", 8, 5, _LITERALS[3])
+    @example("number", 8, 2, _LITERALS[4])
+    @example("number", 8, 7, _LITERALS[5])
+    def test_mutated_multi_block_file_parses_as_per_entry_reference(self, kind, i, j, literal):
+        """A file of three blocks, changed in one place, gives the bits or the
+        message of the per-entry parser, whichever path it takes. Blocks of
+        40 pairs keep each example small."""
+        text = _mutate(_multi_block_text(), kind, 9 * i + j, literal)
+        try:
+            want = _bits(per_entry_parse_state_text(text).mat)
+        except MalformedInputError as e:
+            want = str(e)
+        except OverflowError:
+            want = f"matrix entry ({i}, {j}) is an integer too large for a double"
+        with mock.patch.object(ncorr.io, "_BLOCK", _SMALL_BLOCK):
+            assert kind != "none" or _read_blocks(text) is not None
+            try:
+                got = _bits(parse_state_text(text).mat)
+            except MalformedInputError as e:
+                got = str(e)
+        assert got == want
 
     def test_integer_literals_parse_as_the_per_entry_parser_reads_them(self):
         """JSON integers, exact or rounded to a double, convert as complex() did."""
@@ -303,6 +345,40 @@ def _cross_check_states():
             if d > 1:
                 yield random_density((dA, dB), rank=1 + seed % (d - 1), seed=seed)
     yield random_density((12, 12), seed=5)
+    # 91 rows, read in blocks of 45, 45 and 1
+    yield random_classical((7, 13), seed=2).state
+
+
+@functools.cache
+def _multi_block_text() -> str:
+    return state_file_text(random_density((3, 3), seed=4))
+
+
+@functools.cache
+def _pair_lines() -> list:
+    return list(re.finditer(r"^      \[(.*), (.*)\]", _multi_block_text(), re.M))
+
+
+def _mutate(text: str, kind: str, k: int, literal: str) -> str:
+    """text changed in one way: the k-th pair's real part replaced by literal,
+    the k-th pair dropped, a key added after the matrix, literal added after
+    the text, dims moved after the matrix, or the text re-indented by a width
+    that k picks."""
+    line = _pair_lines()[k]
+    start, end = line.span()
+    if kind == "number":
+        return text[: line.start(1)] + literal + text[line.end(1) :]
+    if kind == "drop_pair":
+        return text[:start] + text[end + 2 :] if text[end] == "," else text[: start - 2] + text[end:]
+    if kind == "trailing_key":
+        return text[:-3] + ',\n  "note": 1\n}\n'
+    if kind == "trailing_text":
+        return text + literal
+    if kind == "matrix_first":
+        return text.replace('  "dims": [3, 3],\n', "", 1)[:-3] + ',\n  "dims": [3, 3]\n}\n'
+    if kind == "reindent":
+        return re.sub(r"\n( +)", lambda m: "\n" + " " * (len(m[1]) // 2 * (k % 4)), text)
+    return text
 
 
 def _non_finite_text(literal: str, dims, offdiagonal: bool) -> str:
@@ -405,6 +481,8 @@ class TestCliRejections:
             (["bench", "--trials", "0", "--json"], "unrecognized arguments: --json"),
             (["state", "--name", "sigma", "--eps-deg", "1e-5"], "unrecognized arguments: --eps-deg"),
             (_SWEEP + ["--seed", "1"], "unrecognized arguments: --seed"),
+            (["state", "--name", "random", "--param", "dA=2", "--param", "dA=3", "--seed", "1"], "--param dA is given twice"),
+            (_SWEEP + ["--param", "c_y=0.1", "--param", "c_y=0.2"], "--param c_y is given twice"),
         ],
     )
     def test_exits_2(self, capsys, argv, message):

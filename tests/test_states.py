@@ -230,10 +230,14 @@ class TestRandomGenerators:
             lambda: random_classical((2, 2), seed=True),
             lambda: random_local_unitary((2, 2), seed=2.0),
             lambda: zeta_prime(seed_a=False),
+            lambda: random_density((2, 2), seed=[True, 2]),
+            lambda: random_classical((2, 2), seed=(0, False)),
+            lambda: random_local_unitary((2, 2), seed=[[1, True]]),
         ],
     )
     def test_non_integer_or_bool_seed_is_a_domain_error(self, make):
-        """A float seed is numpy's TypeError, and a bool would pass as 0 or 1."""
+        """A float seed is numpy's TypeError, and a bool, bare or inside a
+        sequence, would pass as 0 or 1."""
         with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
             make()
 
