@@ -9,37 +9,13 @@ all; pass --full to include them.
 
 import argparse
 
-from ncorr import (
-    CapabilityError,
-    bell,
-    classify,
-    partition_measure,
-    phi_p,
-    truncation_measure,
-    varsigma,
-    sigma,
-    sigma_prime,
-    sigma_dprime,
-    tau,
-    zeta,
-    zeta_prime,
-    xi,
-    xi_prime,
-)
+from ncorr import CapabilityError, StateSpec, build, classify, partition_measure, truncation_measure
 
-CATALOG = [
-    ("varsigma", varsigma),
-    ("sigma", sigma),
-    ("sigma_prime", sigma_prime),
-    ("sigma_dprime", sigma_dprime),
-    ("tau", tau),
-    ("zeta", zeta),
-    ("zeta_prime", zeta_prime),
-    ("xi", xi),
-    ("xi_prime", xi_prime),
-    ("bell(2)", lambda: bell(2)),
-    ("bell(4)", lambda: bell(4)),
-    ("phi_p(0.25)", lambda: phi_p(0.25)),
+FIXED = ("varsigma", "sigma", "sigma_prime", "sigma_dprime", "tau", "zeta", "zeta_prime", "xi", "xi_prime")
+CATALOG = [StateSpec(name) for name in FIXED] + [
+    StateSpec("bell", {"N": 2}),
+    StateSpec("bell", {"N": 4}),
+    StateSpec("phi_p", {"p": 0.25}),
 ]
 
 
@@ -52,8 +28,10 @@ def main() -> int:
     header = f"{'state':<14} {'dims':<6} {'M':>10} {'M_A':>10} {'M_B':>10} {'G':>10}  verdict (decided by)"
     print(header)
     print("-" * len(header))
-    for name, builder in CATALOG:
-        state = builder()
+    for spec in CATALOG:
+        state = build(spec)
+        args = ", ".join(map(str, spec.params.values()))
+        label = f"{spec.name}({args})" if args else spec.name
         report = truncation_measure(state)
         dims = f"{state.dims.dA}x{state.dims.dB}"
         try:
@@ -63,7 +41,7 @@ def main() -> int:
         verdict = classify(state)
         decided = verdict.decided_by or "none"
         print(
-            f"{name:<14} {dims:<6} {report.value:10.6f} {report.side_a:10.6f} "
+            f"{label:<14} {dims:<6} {report.value:10.6f} {report.side_a:10.6f} "
             f"{report.side_b:10.6f} {g_text}  {verdict.verdict} ({decided})"
         )
     return 0

@@ -19,7 +19,7 @@ from .detect import DetectionVerdict, classify
 from .errors import CapabilityError, DomainError, MalformedInputError
 from .io import Report, format_float, matrix_as_pairs, read_state_file, state_file_text, write_state_file
 from .linalg import DensityMatrix
-from .measures import MAX_PARTITION_DIM, MeasureReport, partition_discrepancy, truncation_measure
+from .measures import MAX_PARTITION_DIM, MeasureReport, _check_count, partition_discrepancy, truncation_measure
 from .states import StateSpec, build, random_density
 
 
@@ -197,8 +197,7 @@ def run_sweep(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[tuple[float, float, float]]:
     """Rows (parameter value, measure, reduced-state entropy) over a linear grid."""
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
+    _check_count(steps, "steps")
     if family not in _SWEEP_DEFAULT_PARAM:
         raise MalformedInputError(f"unknown sweep family {family!r}")
     param = sweep_param or _SWEEP_DEFAULT_PARAM[family]
@@ -253,10 +252,8 @@ def run_bench(max_dim: int = 16, trials: int = 3, seed: int = 0, tol: Tolerances
     Per-side dimensions double from 2 up to max_dim; the slope is the
     least-squares gradient of log mean time against log dimension.
     """
-    if max_dim < 2:
-        raise DomainError(f"max-dim must be >= 2, got {max_dim}")
-    if trials < 0:
-        raise DomainError(f"trials must be >= 0, got {trials}")
+    _check_count(max_dim, "max-dim", 2)
+    _check_count(trials, "trials", 0)
     sizes = []
     n = 2
     while n <= max_dim:

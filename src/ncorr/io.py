@@ -112,6 +112,10 @@ def parse_state_text(text: str) -> DensityMatrix:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise MalformedInputError(f"invalid state file: {e.msg} at line {e.lineno} column {e.colno}") from e
+    except (ValueError, RecursionError) as e:
+        # An integer literal past Python's int string-conversion limit, or
+        # arrays nested deeper than the recursion limit.
+        raise MalformedInputError(f"invalid state file: {e}") from e
     if not isinstance(doc, dict):
         raise MalformedInputError("state file must be a JSON object")
     for key in ("dims", "matrix"):
@@ -154,7 +158,7 @@ def _read_blocks(text: str) -> tuple[np.ndarray, BipartiteDims] | None:
         for i in range(r0, min(r0 + step, d)):
             try:
                 row, pos = decode(text, pos)
-            except ValueError:
+            except (ValueError, RecursionError):
                 return None
             rows.append(row)
             after = _ROW_SEP if i + 1 < d else _TAIL
@@ -212,11 +216,14 @@ def _reject_rows(rows: list, d: int) -> NoReturn:
 
 
 def read_state_file(path: str) -> DensityMatrix:
+    """Read a state file as UTF-8, JSON's encoding, and parse it."""
     try:
-        with open(path) as fp:
+        with open(path, encoding="utf-8") as fp:
             text = fp.read()
     except OSError as e:
         raise MalformedInputError(f"cannot read state file {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise MalformedInputError(f"state file {path} is not UTF-8 text: {e.reason} at byte {e.start}") from e
     return parse_state_text(text)
 
 

@@ -244,10 +244,10 @@ def mimic_discrepancy(
     return best
 
 
-def _check_count(value, what: str) -> None:
-    """value must be an integer >= 1; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise DomainError(f"{what} must be an integer >= 1, got {value!r}")
+def _check_count(value, what: str, least: int = 1) -> None:
+    """value must be an integer >= least; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
 def _partition_count(n_groups: int, group_size: int) -> int:

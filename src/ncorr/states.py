@@ -27,22 +27,23 @@ def plus_ket(dim: int) -> np.ndarray:
     return v
 
 
+def _mixture(dims: tuple[int, int], denominator: int, *terms: tuple[int, np.ndarray]) -> DensityMatrix:
+    """The state sum_k w_k |v_k><v_k| / denominator on dims, over the (w_k, v_k) terms."""
+    # sum() starts from the integer 0, which would turn a -0.0 of the first
+    # term into +0.0; no catalog projector holds one (tests pin their bits).
+    return DensityMatrix(sum(w * projector(v) for w, v in terms) / denominator, BipartiteDims(*dims))
+
+
 def varsigma() -> DensityMatrix:
     """Two-qubit mixture of |00> and |1+>, separable with no product eigenbasis."""
     k0, k1, kp = ket(0, 2), ket(1, 2), plus_ket(2)
-    mat = (projector(np.kron(k0, k0)) + projector(np.kron(k1, kp))) / 2
-    return DensityMatrix(mat, BipartiteDims(2, 2))
+    return _mixture((2, 2), 2, (1, np.kron(k0, k0)), (1, np.kron(k1, kp)))
 
 
 def sigma() -> DensityMatrix:
     """Two-qubit rank-3 mixture of |00>, |01>, |1+> with weights 1:2:3."""
     k0, k1, kp = ket(0, 2), ket(1, 2), plus_ket(2)
-    mat = (
-        projector(np.kron(k0, k0))
-        + 2 * projector(np.kron(k0, k1))
-        + 3 * projector(np.kron(k1, kp))
-    ) / 6
-    return DensityMatrix(mat, BipartiteDims(2, 2))
+    return _mixture((2, 2), 6, (1, np.kron(k0, k0)), (2, np.kron(k0, k1)), (3, np.kron(k1, kp)))
 
 
 def _phi() -> np.ndarray:
@@ -52,36 +53,26 @@ def _phi() -> np.ndarray:
 def sigma_prime() -> DensityMatrix:
     """Maximally entangled component at weight 1/2 plus |01>, |10> at 1/4 each."""
     k0, k1 = ket(0, 2), ket(1, 2)
-    mat = projector(_phi()) / 2 + (projector(np.kron(k0, k1)) + projector(np.kron(k1, k0))) / 4
-    return DensityMatrix(mat, BipartiteDims(2, 2))
+    return _mixture((2, 2), 4, (2, _phi()), (1, np.kron(k0, k1)), (1, np.kron(k1, k0)))
 
 
 def sigma_dprime() -> DensityMatrix:
     """Maximally entangled component at weight 1/4 plus |01>, |10> at 3/8 each."""
     k0, k1 = ket(0, 2), ket(1, 2)
-    mat = projector(_phi()) / 4 + 3 * (projector(np.kron(k0, k1)) + projector(np.kron(k1, k0))) / 8
-    return DensityMatrix(mat, BipartiteDims(2, 2))
+    return _mixture((2, 2), 8, (2, _phi()), (3, np.kron(k0, k1)), (3, np.kron(k1, k0)))
 
 
 def tau() -> DensityMatrix:
     """Two-qutrit mixture of the three symmetric pair states, entangled yet measure-zero."""
-    vecs = []
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        vecs.append((np.kron(ket(i, 3), ket(j, 3)) + np.kron(ket(j, 3), ket(i, 3))) / math.sqrt(2))
-    mat = sum(projector(v) for v in vecs) / 3
-    return DensityMatrix(mat, BipartiteDims(3, 3))
+    k = [ket(i, 3) for i in range(3)]
+    pairs = ((np.kron(k[i], k[j]) + np.kron(k[j], k[i])) / math.sqrt(2) for i, j in ((0, 1), (1, 2), (2, 0)))
+    return _mixture((3, 3), 3, *((1, v) for v in pairs))
 
 
 def zeta() -> DensityMatrix:
     """Two-ququart mixture of |00>, |+2>, |2+>, |33> at weight 1/4 each."""
     k0, k2, k3, kp = ket(0, 4), ket(2, 4), ket(3, 4), plus_ket(4)
-    mat = (
-        projector(np.kron(k0, k0))
-        + projector(np.kron(kp, k2))
-        + projector(np.kron(k2, kp))
-        + projector(np.kron(k3, k3))
-    ) / 4
-    return DensityMatrix(mat, BipartiteDims(4, 4))
+    return _mixture((4, 4), 4, (1, np.kron(k0, k0)), (1, np.kron(kp, k2)), (1, np.kron(k2, kp)), (1, np.kron(k3, k3)))
 
 
 def _rng(seed) -> np.random.Generator:

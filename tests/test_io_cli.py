@@ -147,6 +147,18 @@ _SMALL_BLOCK = 40
 _MUTATIONS = ("none", "number", "drop_pair", "trailing_key", "trailing_text", "matrix_first", "reindent")
 _LITERALS = ("true", "null", '"1"', "NaN", "-0", "9" * 400)
 
+# Texts json cannot turn into Python objects: an integer literal past
+# Python's int string-conversion limit (4300 digits), in the matrix or in
+# dims, and arrays nested deeper than the recursion limit.
+_HUGE_INT = "1" + "0" * 5000
+_DEEP = "[" * 100_000
+_UNDECODABLE = [
+    pytest.param('{"dims": [1, 1], "matrix": [[[%s, 0]]]}' % _HUGE_INT, id="long-integer-in-matrix"),
+    pytest.param('{"dims": [%s, 1], "matrix": [[[1, 0]]]}' % _HUGE_INT, id="long-integer-in-dims"),
+    pytest.param('{"dims": [1, 1], "matrix": ' + _DEEP, id="deep-nesting"),
+]
+_UNDECODABLE_ROWS = [pytest.param(_HUGE_INT, id="long-integer"), pytest.param(_DEEP, id="deep-nesting")]
+
 
 class TestStateFiles:
     def test_round_trip_varsigma_bit_exact(self, tmp_path):
@@ -310,6 +322,26 @@ class TestStateFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(MalformedInputError, match="cannot read state file"):
             read_state_file(str(tmp_path / "absent.json"))
+
+    @pytest.mark.parametrize("text", _UNDECODABLE)
+    def test_undecodable_text_rejected(self, text):
+        with pytest.raises(MalformedInputError, match="invalid state file"):
+            parse_state_text(text)
+
+    @pytest.mark.parametrize("literal", _UNDECODABLE_ROWS)
+    def test_undecodable_row_of_a_multi_block_file_rejected(self, literal):
+        """The block reader hands a row json cannot decode to the whole-text path."""
+        text = _mutate(_multi_block_text(), "number", 45, literal)
+        with mock.patch.object(ncorr.io, "_BLOCK", _SMALL_BLOCK):
+            assert _read_blocks(text) is None
+            with pytest.raises(MalformedInputError, match="invalid state file"):
+                parse_state_text(text)
+
+    def test_file_not_in_utf8_rejected(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(state_file_text(varsigma()).encode("utf-16"))  # begins with the bytes ff fe
+        with pytest.raises(MalformedInputError, match="is not UTF-8 text"):
+            read_state_file(str(path))
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize(
@@ -594,6 +626,27 @@ class TestCliCompute:
         assert main(["compute", "--in", str(path)]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", _UNDECODABLE)
+    def test_undecodable_file_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["compute", "--in", str(path)]) == 2
+        assert "invalid state file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", _UNDECODABLE_ROWS)
+    def test_undecodable_multi_block_file_exits_2(self, tmp_path, capsys, literal):
+        path = tmp_path / "bad.json"
+        path.write_text(_mutate(_multi_block_text(), "number", 45, literal))
+        with mock.patch.object(ncorr.io, "_BLOCK", _SMALL_BLOCK):
+            assert main(["compute", "--in", str(path)]) == 2
+        assert "invalid state file" in capsys.readouterr().err
+
+    def test_file_not_in_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(state_file_text(varsigma()).encode("utf-16"))
+        assert main(["compute", "--in", str(path)]) == 2
+        assert "is not UTF-8 text" in capsys.readouterr().err
+
     def test_integer_too_large_for_a_double_exits_2(self, tmp_path, capsys):
         path = tmp_path / "big.json"
         path.write_text('{"dims": [1, 1], "matrix": [[[1%s, 0]]]}' % ("0" * 400))
@@ -757,6 +810,11 @@ class TestCliSweep:
         assert main(argv) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("steps", [2.5, True])
+    def test_run_sweep_takes_an_integer_step_count(self, steps):
+        with pytest.raises(ncorr.DomainError, match="steps must be an integer"):
+            run_sweep("phi_p", 0.0, 1.0, steps)
+
     def test_run_sweep_rejects_unknown_family(self):
         with pytest.raises(MalformedInputError, match="family"):
             run_sweep("nonesuch", 0.0, 1.0, 3)
@@ -800,6 +858,13 @@ class TestCliBench:
             run_bench(max_dim=1)
         with pytest.raises(ncorr.DomainError, match="trials"):
             run_bench(trials=-1)
+
+    @pytest.mark.parametrize(
+        "kwargs, what", [({"trials": 1.5}, "trials"), ({"trials": True}, "trials"), ({"max_dim": 2.5}, "max-dim")]
+    )
+    def test_run_bench_takes_integer_counts(self, kwargs, what):
+        with pytest.raises(ncorr.DomainError, match=f"{what} must be an integer"):
+            run_bench(**kwargs)
 
 
 class TestGoldenReports:

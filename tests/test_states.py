@@ -1,5 +1,8 @@
 """State catalog: fixed states, parametric families, seeded random generators."""
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +42,7 @@ from ncorr import (
     zeta,
     zeta_prime,
 )
+from ncorr.io import state_file_text
 
 FIXED_BUILDERS = {
     "varsigma": varsigma,
@@ -297,6 +301,14 @@ class TestBuildDispatch:
     def test_fixed_names_build(self, name):
         rho = build(StateSpec(name))
         assert np.array_equal(rho.mat, FIXED_BUILDERS[name]().mat)
+
+    def test_fixed_names_keep_their_state_file_bits(self):
+        """The sha256 of each fixed state's file, recorded before the builders
+        were rewritten as one mixture each."""
+        want = json.loads((Path(__file__).parent / "data" / "catalog_sha256.json").read_text())
+        assert sorted(want) == sorted(FIXED_BUILDERS)
+        got = {name: hashlib.sha256(state_file_text(build(StateSpec(name))).encode()).hexdigest() for name in want}
+        assert got == want
 
     def test_parametric_names(self):
         assert build(StateSpec("bell", {"N": 3})).dims == BipartiteDims(3, 3)
