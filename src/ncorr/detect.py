@@ -1,8 +1,9 @@
 """Polynomial-time tests for the existence of a product eigenbasis.
 
 Each detector either reaches a decisive verdict or reports why it cannot.
-CLASSICAL verdicts always come with an explicit product eigenbasis that
-reconstructs the state; NONCLASSICAL verdicts rest on a necessity argument
+CLASSICAL verdicts always come with an explicit product eigenbasis, and each
+passes one check, _in_product_basis: the basis leaves at most tol.offdiag off
+the diagonal of the state. NONCLASSICAL verdicts rest on a necessity argument
 (a nondegenerate eigenvector of the wrong shape, a reduced eigenbasis that
 fails to diagonalize, non-commuting conditional blocks, a non-vanishing
 commutator with a reduced state, a negative partial-transpose eigenvalue, or
@@ -16,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .linalg import DensityMatrix, _blocks, _product_basis_matrix, commutator_fro_norm, projector
+from .linalg import DensityMatrix, _blocks, commutator_fro_norm, projector
 from .measures import ppt_min_eigenvalue, schmidt_decomposition, truncation_measure
 
 CLASSICAL = "CLASSICAL"
@@ -60,20 +61,18 @@ def _min_gap(values: np.ndarray) -> float:
     return float(np.diff(values).min())
 
 
-def _offdiag_norm(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat - np.diag(np.diagonal(mat)), "fro"))
+def _in_product_basis(mat: np.ndarray, basis_a: np.ndarray, basis_b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Weights and off-diagonal residual of mat in the product basis kron(basis_a, basis_b).
 
-
-def _group_by_overlap(vectors: np.ndarray, gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Assign each vector a group label, merging vectors equal up to phase.
-
-    Callers guarantee pairwise overlaps are near 0 or near 1, so a 1/2
-    threshold separates the two cases cleanly. A vector's group is that of
-    the first vector it overlaps (itself, if none before it does); groups are
-    numbered in order of first appearance and represented by that vector.
+    The weights are the diagonal of U^dag mat U as a (dA, dB) array, the
+    residual the Frobenius norm of the rest. Every classical outcome rests on
+    this one check: the basis diagonalizes the state when the residual is zero.
     """
-    reps, labels = np.unique((gram > 0.5).argmax(axis=0), return_inverse=True)
-    return vectors[:, reps], labels
+    u = np.kron(basis_a, basis_b)
+    rotated = u.conj().T @ mat @ u
+    diagonal = np.diagonal(rotated)
+    residual = float(np.linalg.norm(rotated - np.diag(diagonal), "fro"))
+    return diagonal.real.reshape(basis_a.shape[1], basis_b.shape[1]), residual
 
 
 def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> TestOutcome:
@@ -103,7 +102,7 @@ def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TO
                 f"eigenvector of eigenvalue {values[i]:.6g} has Schmidt rank {schmidt.rank}",
             )
         factors.append((schmidt.vectors_a[:, 0], schmidt.vectors_b[:, 0]))
-    overlaps = []  # per side: local components as columns, and their Gram matrix |<v_i|v_j>|
+    bases = []  # per side: the first local component of each group of components equal up to phase
     for side, local in zip("AB", zip(*factors)):
         vectors = np.column_stack(local)
         gram = np.abs(vectors.conj().T @ vectors)
@@ -116,7 +115,9 @@ def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TO
                 float(gram[tuple(offending[0])]),
                 f"subsystem {side} eigenvector components neither orthogonal nor equal",
             )
-        overlaps.append((vectors, gram))
+        # Every overlap is now near 0 or near 1, so 1/2 separates the two: each column's
+        # argmax is the first vector it overlaps, the first of each group overlapping only itself.
+        bases.append(vectors[:, np.unique((gram > 0.5).argmax(axis=0))])
     if len(nonzero) < dims.total:
         return TestOutcome(
             name,
@@ -124,10 +125,7 @@ def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TO
             float(len(nonzero)),
             "product checks passed but the spectrum is rank-deficient",
         )
-    (basis_a, labels_a), (basis_b, labels_b) = (_group_by_overlap(*pair) for pair in overlaps)
-    weights = np.zeros((dims.dA, dims.dB))
-    weights[labels_a, labels_b] = values[nonzero]
-    residual = float(np.linalg.norm(rho.mat - _product_basis_matrix(basis_a, basis_b, weights), "fro"))
+    weights, residual = _in_product_basis(rho.mat, *bases)
     if residual > tol.offdiag:
         return TestOutcome(name, "inconclusive", residual, "product basis failed to reconstruct the state")
     return TestOutcome(
@@ -135,8 +133,8 @@ def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TO
         "classical",
         residual,
         "nondegenerate eigenvectors form a product eigenbasis",
-        basis_a=basis_a,
-        basis_b=basis_b,
+        basis_a=bases[0],
+        basis_b=bases[1],
         weights=weights,
     )
 
@@ -148,20 +146,16 @@ def detect_local_both_nondegenerate(rho: DensityMatrix, tol: Tolerances = DEFAUL
     product eigenbasis must then be built from exactly those local bases.
     """
     name = "local-both-nondegenerate"
-    dims = rho.dims
     wa, va = rho.reduced_eig["A"]
     wb, vb = rho.reduced_eig["B"]
     gap = min(_min_gap(wa), _min_gap(wb))
     if gap <= tol.deg:
         return TestOutcome(name, "not-applicable", gap, "a reduced spectrum is degenerate")
-    u = np.kron(va, vb)
-    rotated = u.conj().T @ rho.mat @ u
-    residual = _offdiag_norm(rotated)
+    weights, residual = _in_product_basis(rho.mat, va, vb)
     if residual > tol.offdiag:
         return TestOutcome(
             name, "nonclassical", residual, "local eigenbasis product does not diagonalize the state"
         )
-    weights = np.diagonal(rotated).real.reshape(dims.dA, dims.dB)
     return TestOutcome(
         name,
         "classical",
@@ -180,13 +174,10 @@ def _conditional_blocks(rho: DensityMatrix, basis: np.ndarray, sandwiched: str) 
     return np.einsum(spec, basis.conj(), r, basis)
 
 
-def _joint_eigenbasis(blocks: np.ndarray, tol: Tolerances) -> np.ndarray | None:
-    """Common eigenbasis of commuting Hermitian matrices from one fixed random combination, or None."""
+def _joint_eigenbasis(blocks: np.ndarray) -> np.ndarray:
+    """Eigenbasis of one fixed random combination of Hermitian matrices: their common one, if they have one."""
     coeff = np.random.default_rng(7).standard_normal(len(blocks))
-    _, p = np.linalg.eigh(sum(c * b for c, b in zip(coeff, blocks)))
-    if all(_offdiag_norm(p.conj().T @ b @ p) <= tol.offdiag for b in blocks):
-        return p
-    return None
+    return np.linalg.eigh(sum(c * b for c, b in zip(coeff, blocks)))[1]
 
 
 def detect_local_one_nondegenerate(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> TestOutcome:
@@ -212,10 +203,8 @@ def detect_local_one_nondegenerate(rho: DensityMatrix, tol: Tolerances = DEFAULT
     side = "B" if nondeg_b else "A"
     basis = vb if nondeg_b else va
     blocks = _conditional_blocks(rho, basis, side)
-    if side == "B":
-        recon = sum(np.kron(blk, projector(basis[:, j])) for j, blk in enumerate(blocks))
-    else:
-        recon = sum(np.kron(projector(basis[:, j]), blk) for j, blk in enumerate(blocks))
+    by_side = 1 if side == "B" else -1  # puts (the blocks' subsystem, side) in (A, B) order
+    recon = sum(np.kron(*(blk, projector(basis[:, j]))[::by_side]) for j, blk in enumerate(blocks))
     residual = float(np.linalg.norm(rho.mat - recon, "fro"))
     if residual > tol.offdiag:
         return TestOutcome(
@@ -227,14 +216,10 @@ def detect_local_one_nondegenerate(rho: DensityMatrix, tol: Tolerances = DEFAULT
     worst = max((commutator_fro_norm(a, b) for a, b in combinations(blocks, 2)), default=0.0)
     if worst > tol.comm:
         return TestOutcome(name, "nonclassical", worst, "conditional blocks do not commute")
-    shared = _joint_eigenbasis(blocks, tol)
-    if shared is None:
+    basis_a, basis_b = (_joint_eigenbasis(blocks), basis)[::by_side]
+    weights, residual = _in_product_basis(rho.mat, basis_a, basis_b)
+    if residual > tol.offdiag:
         return TestOutcome(name, "inconclusive", worst, "failed to jointly diagonalize commuting blocks")
-    weights = np.column_stack([np.diagonal(shared.conj().T @ b @ shared).real for b in blocks])
-    if side == "B":
-        basis_a, basis_b = shared, basis
-    else:
-        basis_a, basis_b, weights = basis, shared, weights.T
     return TestOutcome(
         name,
         "classical",

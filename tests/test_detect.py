@@ -26,7 +26,7 @@ from ncorr import (
     tau,
     varsigma,
 )
-from ncorr.detect import _joint_eigenbasis
+from ncorr.detect import _in_product_basis, _joint_eigenbasis
 
 
 def reconstruct(basis_a, basis_b, weights):
@@ -165,7 +165,8 @@ class TestLocalOneNondegenerate:
         assert out.witness == pytest.approx(4.24e-10, rel=1e-2)
         verdict = classify(rho)
         assert (verdict.verdict, verdict.decided_by) == (NONCLASSICAL, "global-nondegenerate")
-        assert _joint_eigenbasis(np.stack([z, x]), DEFAULT_TOLERANCES) is None
+        _, residual = _in_product_basis(x, _joint_eigenbasis(np.stack([z, x])), np.eye(1))
+        assert residual > DEFAULT_TOLERANCES.offdiag
 
 
 class TestNecessaryConditions:
