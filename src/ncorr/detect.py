@@ -24,6 +24,8 @@ CLASSICAL = "CLASSICAL"
 NONCLASSICAL = "NONCLASSICAL"
 UNKNOWN = "UNKNOWN"
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True, eq=False)
 class TestOutcome:
@@ -102,22 +104,35 @@ def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TO
                 f"eigenvector of eigenvalue {values[i]:.6g} has Schmidt rank {schmidt.rank}",
             )
         factors.append((schmidt.vectors_a[:, 0], schmidt.vectors_b[:, 0]))
+    # eigh may mix the eigenvectors of nearby eigenvalues by up to this much (Davis-Kahan sin theta),
+    # so an overlap within it of 0 or 1 proves nothing either way.
+    bound = dims.total * _EPS * values[-1] / gap
     bases = []  # per side: the first local component of each group of components equal up to phase
+    blurred = False  # some overlap is neither 0 nor 1 to tol.orth, but only within the bound
     for side, local in zip("AB", zip(*factors)):
         vectors = np.column_stack(local)
         gram = np.abs(vectors.conj().T @ vectors)
-        # argwhere is row-major: the witness is the first offending pair i < j in that order.
-        offending = np.argwhere(np.triu((gram > tol.orth) & (gram < 1 - tol.orth), 1))
-        if len(offending):
+        offending = np.triu((gram > tol.orth) & (gram < 1 - tol.orth), 1)
+        # argwhere is row-major: the witness is the first pair i < j beyond the bound in that order.
+        beyond = np.argwhere(offending & (gram > bound) & (gram < 1 - bound))
+        if len(beyond):
             return TestOutcome(
                 name,
                 "nonclassical",
-                float(gram[tuple(offending[0])]),
+                float(gram[tuple(beyond[0])]),
                 f"subsystem {side} eigenvector components neither orthogonal nor equal",
             )
+        blurred = blurred or offending.any()
         # Every overlap is now near 0 or near 1, so 1/2 separates the two: each column's
         # argmax is the first vector it overlaps, the first of each group overlapping only itself.
         bases.append(vectors[:, np.unique((gram > 0.5).argmax(axis=0))])
+    if blurred:
+        return TestOutcome(
+            name,
+            "inconclusive",
+            bound,
+            f"eigenvector component overlaps lie within the eigenvector error bound {bound:.3g} of 0 or 1",
+        )
     if len(nonzero) < dims.total:
         return TestOutcome(
             name,
@@ -153,6 +168,13 @@ def detect_local_both_nondegenerate(rho: DensityMatrix, tol: Tolerances = DEFAUL
         return TestOutcome(name, "not-applicable", gap, "a reduced spectrum is degenerate")
     weights, residual = _in_product_basis(rho.mat, va, vb)
     if residual > tol.offdiag:
+        # eigh's local eigenvectors may be off by up to n eps ||rho_side|| / gap_side each (Davis-Kahan),
+        # which can raise the residual by twice ||rho||_F times their sum.
+        slack = sum(len(w) * w[-1] / _min_gap(w) for w in (wa, wb)) * 2 * _EPS * np.linalg.norm(rho.mat)
+        if residual <= tol.offdiag + slack:
+            return TestOutcome(
+                name, "inconclusive", residual, f"residual lies within the eigenvector error bound {slack:.3g}"
+            )
         return TestOutcome(
             name, "nonclassical", residual, "local eigenbasis product does not diagonalize the state"
         )

@@ -11,7 +11,9 @@ from ncorr import (
     NONCLASSICAL,
     UNKNOWN,
     DensityMatrix,
+    StateSpec,
     bell,
+    build,
     classify,
     detect_commutator,
     detect_local_both_nondegenerate,
@@ -71,6 +73,42 @@ class TestGlobalNondegenerate:
         rebuilt = reconstruct(out.basis_a, out.basis_b, out.weights)
         assert np.abs(rebuilt - sample.state.mat).max() < 1e-8
 
+    def test_near_degenerate_classical_seed_is_classical(self):
+        """Two eigenvalues 8.6e-9 apart: eigh mixes their eigenvectors, leaving overlaps such as 2.7e-10,
+        above tol.orth but inside the eigenvector error bound (1.4e-7), so they decide nothing."""
+        rho = random_classical((12, 12), seed=1195264631).state
+        assert detect_nondegenerate_global(rho).outcome != "nonclassical"
+        assert classify(rho).verdict == CLASSICAL
+
+    def test_explicit_near_degenerate_pair_is_classical(self):
+        """Hadamard bases on both sides and two weights 1e-8 (10 tol.deg) apart."""
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        rho = conditional_state(np.array([[0.1, 0.1 + 1e-8], [0.3, 0.5 - 1e-8]]), h, h)
+        assert detect_nondegenerate_global(rho).outcome != "nonclassical"
+        verdict = classify(rho)
+        assert verdict.verdict == CLASSICAL
+        assert np.abs(reconstruct(verdict.basis_a, verdict.basis_b, verdict.weights) - rho.mat).max() < 1e-8
+
+    @pytest.mark.parametrize("ratio", [0.5, 2.0])
+    def test_overlap_decides_only_beyond_the_error_bound(self, ratio):
+        """Eigenvectors |0>|0>, |1>|0>, |a>|1>, |a'>|1> with |<1|a>| = s and a smallest gap of 2 tol.deg:
+        s is a true overlap, yet it decides only when it lies beyond d eps ||rho|| / gap."""
+        gap = 2 * DEFAULT_TOLERANCES.deg
+        values = (0.1, 0.1 + gap, 0.3, 0.5 - gap)
+        bound = 4 * np.finfo(float).eps * values[-1] / gap
+        s = ratio * bound
+        c = np.sqrt(1 - s * s)
+        parts = [([1, 0], [1, 0]), ([0, 1], [1, 0]), ([c, s], [0, 1]), ([-s, c], [0, 1])]
+        rho = DensityMatrix(sum(v * projector(np.kron(a, b)) for v, (a, b) in zip(values, parts)), (2, 2))
+        out = detect_nondegenerate_global(rho)
+        if ratio < 1:
+            assert out.outcome == "inconclusive"
+            assert out.witness == pytest.approx(bound, rel=1e-6)
+            assert f"error bound {out.witness:.3g}" in out.detail
+        else:
+            assert out.outcome == "nonclassical"
+            assert out.witness == pytest.approx(s, rel=1e-6)
+
     def test_rank_deficient_product_checks_inconclusive(self):
         """Product eigenvectors but too few of them to certify a basis."""
         weights = np.array([[0.6, 0.0], [0.0, 0.4]])
@@ -98,6 +136,18 @@ class TestLocalBothNondegenerate:
         assert out.outcome == "classical"
         rebuilt = reconstruct(out.basis_a, out.basis_b, out.weights)
         assert np.abs(rebuilt - sample.state.mat).max() < 1e-8
+
+
+    @pytest.mark.parametrize("residual, outcome", [(5e-8, "inconclusive"), (5e-7, "nonclassical")])
+    def test_residual_decides_only_beyond_the_error_bound(self, residual, outcome):
+        """Diagonal reduced states, so the local bases are exact, and a true off-diagonal residual.
+        Side A's gap of 2 tol.deg puts the error bound at 1.25e-7 above tol.offdiag."""
+        g = DEFAULT_TOLERANCES.deg
+        mat = np.diag([0.35 + g, 0.15, 0.1, 0.4 - g]).astype(complex)
+        mat[0, 3] = mat[3, 0] = residual / np.sqrt(2)
+        out = detect_local_both_nondegenerate(DensityMatrix(mat, (2, 2)))
+        assert out.outcome == outcome
+        assert out.witness == pytest.approx(residual, rel=1e-12)
 
 
 class TestLocalOneNondegenerate:
@@ -240,6 +290,28 @@ class TestClassify:
         sample = random_classical((2, 2), seed=seed)
         verdict = classify(sample.state)
         assert verdict.verdict != NONCLASSICAL
+
+    @pytest.mark.parametrize(
+        "name, params, decided_by",
+        [
+            ("varsigma", {}, "local-one-nondegenerate"),
+            ("sigma", {}, "global-nondegenerate"),
+            ("sigma_prime", {}, "measure-witness"),
+            ("sigma_dprime", {}, "measure-witness"),
+            ("tau", {}, "npt"),
+            ("zeta", {}, "commutator"),
+            ("zeta_prime", {}, "commutator"),
+            ("xi", {}, "commutator"),
+            ("xi_prime", {}, "measure-witness"),
+            ("bell", {"N": 2}, "global-nondegenerate"),
+            ("bell", {"N": 4}, "global-nondegenerate"),
+            ("phi_p", {"p": 0.25}, "global-nondegenerate"),
+        ],
+    )
+    def test_catalog_verdicts(self, name, params, decided_by):
+        """The rows of scripts/reproduce_catalog.py: every one is NONCLASSICAL, each by its own detector."""
+        verdict = classify(build(StateSpec(name, params)))
+        assert (verdict.verdict, verdict.decided_by) == (NONCLASSICAL, decided_by)
 
     def test_classical_verdict_carries_witness_basis(self):
         sample = random_classical((2, 3), seed=1)

@@ -1,16 +1,19 @@
 """The paradigm's invariances as properties: local unitaries, swapping A and B,
-and tensor products of classical states. They hold whatever the last bits of
-M and F are, so they keep guarding when a kernel change moves those bits."""
+tensor products of classical states, and classical states at a degeneracy.
+They hold whatever the last bits of M and F are, so they keep guarding when a
+kernel change moves those bits."""
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ncorr import (
+    CLASSICAL,
     DEFAULT_TOLERANCES,
     NONCLASSICAL,
     DensityMatrix,
     apply_local_unitaries,
     classify,
+    haar_unitary,
     partition_discrepancy,
     random_classical,
     random_density,
@@ -70,3 +73,73 @@ def test_tensor_product_of_classical_states_is_not_nonclassical(dims_1, seed_1, 
     rho = tensor_product(random_classical(dims_1, seed=seed_1).state, random_classical(dims_2, seed=seed_2).state)
     assert truncation_measure(rho).value <= DEFAULT_TOLERANCES.measure
     assert classify(rho).verdict != NONCLASSICAL
+
+
+def _product_state(weights: np.ndarray, rng: np.random.Generator) -> DensityMatrix:
+    """The state with the given weights, normalized, in a Haar-random product basis."""
+    u = np.kron(haar_unitary(weights.shape[0], rng), haar_unitary(weights.shape[1], rng))
+    return DensityMatrix((u * (weights / weights.sum()).reshape(-1)) @ u.conj().T, weights.shape)
+
+
+def _degenerate(pattern: str, dims: tuple[int, int], seed: int) -> DensityMatrix:
+    """Weights p (x) q with a repeated entry on each side, two values, or flat on a product subspace."""
+    rng = np.random.default_rng([seed, *dims])
+    if pattern == "product":
+        p, q = rng.dirichlet(np.ones(dims[0])), rng.dirichlet(np.ones(dims[1]))
+        p[1], q[1] = p[0], q[0]
+        weights = np.outer(p, q)
+    elif pattern == "two-valued":
+        weights = np.where(rng.random(dims) < 0.5, *rng.uniform(0.5, 1.5, 2))
+    else:
+        weights = np.zeros(dims)
+        weights[: rng.integers(1, dims[0] + 1), : rng.integers(1, dims[1] + 1)] = 1.0
+    return _product_state(weights, rng)
+
+
+def _near_pair(dims: tuple[int, int], seed: int, k: float) -> DensityMatrix:
+    """Dirichlet weights with the second set k tol.deg above the first."""
+    rng = np.random.default_rng([seed, *dims])
+    w = rng.dirichlet(np.ones(dims[0] * dims[1]))
+    gap = k * DEFAULT_TOLERANCES.deg
+    w[1] = (w[0] + gap * (1 - w[1])) / (1 - gap)  # w[1] - w[0] = gap once normalized
+    return _product_state(w.reshape(dims), rng)
+
+
+def _near_rows(n: int, seed: int, k: float) -> DensityMatrix:
+    """Symmetric n x n weights, so the spectrum is degenerate, with two row sums k tol.deg apart."""
+    rng = np.random.default_rng([seed, n])
+    m = rng.uniform(0.5, 1.5, (n, n))
+    w = (m + m.T) / 2
+    r = w.sum(axis=1)
+    i, j = (0, 1) if r[0] <= r[1] else (1, 0)
+    gap = k * DEFAULT_TOLERANCES.deg
+    w[i, i] += (gap * w.sum() + r[j] - r[i]) / (1 - gap)  # row i - row j = gap once normalized
+    return _product_state(w, rng)
+
+
+def _check_classical(rho: DensityMatrix) -> None:
+    """Never NONCLASSICAL, and a CLASSICAL verdict's basis and weights rebuild the state within tol.offdiag."""
+    verdict = classify(rho)
+    assert verdict.verdict != NONCLASSICAL
+    if verdict.verdict == CLASSICAL:
+        u = np.kron(verdict.basis_a, verdict.basis_b)
+        rebuilt = (u * verdict.weights.reshape(-1)) @ u.conj().T
+        assert np.linalg.norm(rebuilt - rho.mat) <= DEFAULT_TOLERANCES.offdiag
+
+
+_dims_2_4 = st.tuples(st.integers(2, 4), st.integers(2, 4))
+
+
+@given(st.builds(_degenerate, st.sampled_from(["product", "two-valued", "flat"]), _dims_2_4, _seeds))
+def test_degenerate_classical_states(rho):
+    _check_classical(rho)
+
+
+@given(st.builds(_near_pair, _dims_2_4, _seeds, st.sampled_from([2, 5, 10, 30])))
+def test_classical_states_with_a_near_degenerate_eigenvalue_pair(rho):
+    _check_classical(rho)
+
+
+@given(st.builds(_near_rows, st.integers(2, 4), _seeds, st.sampled_from([1.5, 2, 5, 10, 30])))
+def test_classical_states_with_near_degenerate_reduced_spectra(rho):
+    _check_classical(rho)
