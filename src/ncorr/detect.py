@@ -123,9 +123,11 @@ def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TO
                 f"subsystem {side} eigenvector components neither orthogonal nor equal",
             )
         blurred = blurred or offending.any()
-        # Every overlap is now near 0 or near 1, so 1/2 separates the two: each column's
-        # argmax is the first vector it overlaps, the first of each group overlapping only itself.
-        bases.append(vectors[:, np.unique((gram > 0.5).argmax(axis=0))])
+        # Every overlap is now near 0 or near 1, so 1/2 separates the two: each column's argmax is
+        # the first vector it overlaps, which is itself exactly for the first vector of each group.
+        # np.unique(first) gives the same columns, but numpy 2.4 pages in about 1 MB for its hash path.
+        first = (gram > 0.5).argmax(axis=0)
+        bases.append(vectors[:, np.flatnonzero(first == np.arange(len(first)))])
     if blurred:
         return TestOutcome(
             name,
