@@ -83,8 +83,10 @@ def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TO
     Nondegenerate eigenvectors are unique up to phase, so a product eigenbasis
     forces each one to be a product vector and forces their local components
     to be pairwise orthogonal or equal. Any violation is decisive the other
-    way. The classical conclusion additionally needs full rank, since a zero
-    eigenspace is free to spoil completion of the local bases.
+    way, except an overlap within eigh's eigenvector error bound of 0 or 1,
+    which leaves the outcome inconclusive. The classical conclusion
+    additionally needs full rank, since a zero eigenspace is free to spoil
+    completion of the local bases.
     """
     name = "global-nondegenerate"
     dims = rho.dims
@@ -160,7 +162,8 @@ def detect_local_both_nondegenerate(rho: DensityMatrix, tol: Tolerances = DEFAUL
     """Check whether the product of the (unique) local eigenbases diagonalizes rho.
 
     Applicable only when both reduced states are fully nondegenerate; a
-    product eigenbasis must then be built from exactly those local bases.
+    product eigenbasis must then be built from exactly those local bases. A
+    residual above tol.offdiag only by eigh's eigenvector error is inconclusive.
     """
     name = "local-both-nondegenerate"
     wa, va = rho.reduced_eig["A"]

@@ -137,7 +137,6 @@ class TestLocalBothNondegenerate:
         rebuilt = reconstruct(out.basis_a, out.basis_b, out.weights)
         assert np.abs(rebuilt - sample.state.mat).max() < 1e-8
 
-
     @pytest.mark.parametrize("residual, outcome", [(5e-8, "inconclusive"), (5e-7, "nonclassical")])
     def test_residual_decides_only_beyond_the_error_bound(self, residual, outcome):
         """Diagonal reduced states, so the local bases are exact, and a true off-diagonal residual.
