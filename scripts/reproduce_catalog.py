@@ -30,8 +30,8 @@ def main() -> int:
     print("-" * len(header))
     for spec in CATALOG:
         state = build(spec)
-        args = ", ".join(map(str, spec.params.values()))
-        label = f"{spec.name}({args})" if args else spec.name
+        params = ", ".join(map(str, spec.params.values()))
+        label = f"{spec.name}({params})" if params else spec.name
         report = truncation_measure(state)
         dims = f"{state.dims.dA}x{state.dims.dB}"
         try:

@@ -107,8 +107,9 @@ def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TO
             )
         factors.append((schmidt.vectors_a[:, 0], schmidt.vectors_b[:, 0]))
     # eigh may mix the eigenvectors of nearby eigenvalues by up to this much (Davis-Kahan sin theta),
-    # so an overlap within it of 0 or 1 proves nothing either way.
-    bound = dims.total * _EPS * values[-1] / gap
+    # so an overlap within it of 0 or 1 proves nothing either way. The smallest kept eigenvector
+    # also mixes with the null space, so the gap runs down to the largest eigenvalue dropped as zero.
+    bound = dims.total * _EPS * values[-1] / _min_gap(values[max(nonzero[0] - 1, 0) :])
     bases = []  # per side: the first local component of each group of components equal up to phase
     blurred = False  # some overlap is neither 0 nor 1 to tol.orth, but only within the bound
     for side, local in zip("AB", zip(*factors)):

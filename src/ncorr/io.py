@@ -5,13 +5,12 @@ numbers in files, reports and CSV output are rendered with 17 significant
 digits so a parsed value is bit-identical to the emitted one. The one
 exception is -0.0: it is written "-0", which JSON reads as the integer 0.
 
-A state file is written, and read back, a block of about _BLOCK [re, im]
-pairs (whole rows) at a time, so a large state never holds a Python float or
-a JSON list for every entry at once. The block reader takes only a text in
-the writer's exact layout (header, row separators and trailer as written,
-dims of at most nine digits) whose matrix spans more than one block; each
-row inside it is decoded by json itself. Every other text, including every
-file that fits in one block, goes through one json.loads of the whole text,
+A state file is written one matrix row at a time, so a large state never
+holds a Python float for every entry at once. A text in the writer's exact
+layout (header, row separators and trailer as written, dims of at most nine
+digits) whose matrix holds more than _BLOCK [re, im] pairs is read back one
+row at a time, each row decoded by json itself, so it never becomes one JSON
+tree either. Every other text goes through one json.loads of the whole text,
 which also words every error message.
 """
 from __future__ import annotations
@@ -27,7 +26,8 @@ import numpy as np
 from .errors import MalformedInputError
 from .linalg import BipartiteDims, DensityMatrix
 
-_BLOCK = 1 << 12  # [re, im] pairs per block of a state file: ~0.5 MB of JSON lists
+# A matrix of more [re, im] pairs than this is read row by row; json.loads is faster on smaller files.
+_BLOCK = 1 << 12
 
 
 def format_float(x: float) -> str:
@@ -81,20 +81,14 @@ _TAIL = "\n  ]\n}\n"
 
 def _state_text(mat: np.ndarray, dims: BipartiteDims) -> str:
     """The text dumps gives for {"dims": ..., "matrix": [re, im] pairs of mat},
-    filled one block of rows at a time, with one % operation per block.
-    %.17g renders a double as format_float does; mat must be finite, as a
-    validated state is, since nothing here checks."""
+    filled one row at a time, with one % operation per row. %.17g renders a
+    double as format_float does; mat must be finite, as a validated state is,
+    since nothing here checks."""
     d = dims.total
     pairs = np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64).reshape(d, 2 * d)
     row = "[\n" + ",\n".join(["      [%.17g, %.17g]"] * d) + "\n    ]"
-    step = _rows_per_block(d)
-    chunks = (pairs[r0 : r0 + step] for r0 in range(0, d, step))
-    body = _ROW_SEP.join([_ROW_SEP.join([row] * len(c)) % tuple(c.ravel().tolist()) for c in chunks])
+    body = _ROW_SEP.join([row % tuple(r.tolist()) for r in pairs])
     return f'{{\n  "dims": [{dims.dA}, {dims.dB}],\n  "matrix": [\n    {body}{_TAIL}'
-
-
-def _rows_per_block(d: int) -> int:
-    return min(d, max(1, _BLOCK // d))
 
 
 def write_state_file(path: str, state: DensityMatrix) -> None:
@@ -105,9 +99,9 @@ def write_state_file(path: str, state: DensityMatrix) -> None:
 def parse_state_text(text: str) -> DensityMatrix:
     """Parse and validate the state file schema, then the physics."""
     # A matrix of more than _BLOCK pairs takes more than 6 * _BLOCK characters.
-    blocked = _read_blocks(text) if len(text) > 6 * _BLOCK else None
-    if blocked is not None:
-        return DensityMatrix(*blocked)
+    by_rows = _read_blocks(text) if len(text) > 6 * _BLOCK else None
+    if by_rows is not None:
+        return DensityMatrix(*by_rows)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -137,11 +131,11 @@ def parse_state_text(text: str) -> DensityMatrix:
 
 
 def _read_blocks(text: str) -> tuple[np.ndarray, BipartiteDims] | None:
-    """The matrix and dims of a text in _state_text's layout, read a block of
-    rows at a time: json decodes each row, and each block passes _pairs'
-    check into one preallocated array. None sends the text down the
-    whole-text path. A valid text has at least 6 characters per pair, so a
-    shorter one gets no array."""
+    """The matrix and dims of a text in _state_text's layout whose matrix holds
+    more than _BLOCK pairs, read one row at a time: json decodes each row, and
+    each row passes _pairs' check into one preallocated array. None sends the
+    text down the whole-text path. A valid text has at least 6 characters per
+    pair, so a shorter one gets no array."""
     head = _HEAD.match(text)
     if head is None:
         return None
@@ -152,23 +146,17 @@ def _read_blocks(text: str) -> tuple[np.ndarray, BipartiteDims] | None:
     pos = head.end()
     decode = json.JSONDecoder().raw_decode
     out = np.empty((d, d, 2))
-    step = _rows_per_block(d)
-    for r0 in range(0, d, step):
-        rows = []
-        for i in range(r0, min(r0 + step, d)):
-            try:
-                row, pos = decode(text, pos)
-            except (ValueError, RecursionError):
-                return None
-            rows.append(row)
-            after = _ROW_SEP if i + 1 < d else _TAIL
-            if not text.startswith(after, pos):
-                return None
-            pos += len(after)
-        block = _pairs(rows, (len(rows), d, 2))
-        if block is None:
+    for i in range(d):
+        try:
+            row, pos = decode(text, pos)
+        except (ValueError, RecursionError):
             return None
-        out[r0 : r0 + len(rows)] = block
+        pairs = _pairs(row, (d, 2))
+        after = _ROW_SEP if i + 1 < d else _TAIL
+        if pairs is None or not text.startswith(after, pos):
+            return None
+        out[i] = pairs
+        pos += len(after)
     if pos != len(text):
         return None
     return out.view(np.complex128)[..., 0], dims

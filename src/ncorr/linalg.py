@@ -154,12 +154,6 @@ def projector(vec: np.ndarray) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def _product_basis_matrix(basis_a: np.ndarray, basis_b: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_jk weights[j, k] |a_j b_k><a_j b_k| over the columns a_j of basis_a and b_k of basis_b."""
-    u = np.kron(basis_a, basis_b)
-    return (u * weights.reshape(-1)) @ u.conj().T
-
-
 def commutator_fro_norm(a: np.ndarray, b: np.ndarray) -> float:
     """Frobenius norm of the commutator [a, b]."""
     a = np.asarray(a)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .errors import DomainError, MalformedInputError
-from .linalg import BipartiteDims, DensityMatrix, _as_dims, _product_basis_matrix, projector, tensor_product
+from .linalg import BipartiteDims, DensityMatrix, _as_dims, projector, tensor_product
 
 
 def ket(index: int, dim: int) -> np.ndarray:
@@ -158,13 +158,13 @@ def kappa(c_x: float, c_y: float, c_z: float) -> DensityMatrix:
     (1 + c_x - c_y + c_z)/4 and (1 + c_x + c_y - c_z)/4; the coefficients must
     keep all four nonnegative.
     """
+    evals = kappa_eigenvalues(c_x, c_y, c_z)
+    if min(evals) < -DEFAULT_TOLERANCES.psd:
+        raise DomainError(f"coefficients ({c_x}, {c_y}, {c_z}) give a negative eigenvalue {min(evals)}")
     mat = np.eye(4, dtype=np.complex128)
     for c, name in ((c_x, "x"), (c_y, "y"), (c_z, "z")):
         mat += c * np.kron(_PAULI[name], _PAULI[name])
     mat /= 4
-    evals = kappa_eigenvalues(c_x, c_y, c_z)
-    if min(evals) < -DEFAULT_TOLERANCES.psd:
-        raise DomainError(f"coefficients ({c_x}, {c_y}, {c_z}) give a negative eigenvalue {min(evals)}")
     return DensityMatrix(mat, BipartiteDims(2, 2))
 
 
@@ -236,7 +236,8 @@ def random_classical(dims, seed: int = 0) -> ClassicalSample:
     ua = haar_unitary(dims.dA, rng)
     ub = haar_unitary(dims.dB, rng)
     weights = rng.dirichlet(np.ones(dims.total)).reshape(dims.dA, dims.dB)
-    return ClassicalSample(DensityMatrix(_product_basis_matrix(ua, ub, weights), dims), ua, ub, weights)
+    u = np.kron(ua, ub)
+    return ClassicalSample(DensityMatrix((u * weights.reshape(-1)) @ u.conj().T, dims), ua, ub, weights)
 
 
 def random_local_unitary(dims, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:

@@ -89,6 +89,17 @@ class TestGlobalNondegenerate:
         assert verdict.verdict == CLASSICAL
         assert np.abs(reconstruct(verdict.basis_a, verdict.basis_b, verdict.weights) - rho.mat).max() < 1e-8
 
+    def test_eigenvalue_next_to_the_null_space_is_classical(self):
+        """Hadamard bases on both sides and weights (0, 1e-8, 0.4, 0.6 - 1e-8): eigh mixes the 1e-8
+        eigenvector with the null space, so the bound's gap runs down to the eigenvalue dropped as zero."""
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        rho = conditional_state(np.array([[0, 1e-8], [0.4, 0.6 - 1e-8]]), h, h)
+        out = detect_nondegenerate_global(rho)
+        assert out.outcome == "inconclusive"
+        assert out.witness == pytest.approx(4 * np.finfo(float).eps * (0.6 - 1e-8) / 1e-8, rel=1e-6)
+        verdict = classify(rho)
+        assert (verdict.verdict, verdict.decided_by) == (CLASSICAL, "local-both-nondegenerate")
+
     @pytest.mark.parametrize("ratio", [0.5, 2.0])
     def test_overlap_decides_only_beyond_the_error_bound(self, ratio):
         """Eigenvectors |0>|0>, |1>|0>, |a>|1>, |a'>|1> with |<1|a>| = s and a smallest gap of 2 tol.deg:

@@ -1,7 +1,8 @@
 """The paradigm's invariances as properties: local unitaries, swapping A and B,
-tensor products of classical states, and classical states at a degeneracy.
-They hold whatever the last bits of M and F are, so they keep guarding when a
-kernel change moves those bits."""
+tensor products of classical states, classical states at a degeneracy, and
+classical states perturbed far below tol.deg or with eigenvalues chained just
+under it. They hold whatever the last bits of M and F are, so they keep
+guarding when a kernel change moves those bits."""
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from ncorr import (
     tensor_product,
     truncation_measure,
 )
+from ncorr.spectral import cluster_spectrum
 
 TOL = 1e-9
 
@@ -117,6 +119,17 @@ def _near_rows(n: int, seed: int, k: float) -> DensityMatrix:
     return _product_state(w, rng)
 
 
+def _tiny_weight(dims: tuple[int, int], seed: int, k: int, tiny: float) -> DensityMatrix:
+    """Dirichlet weights with k of them (at most d - 2) zero and the next one tiny, so the smallest kept
+    eigenvalue sits just above the null space."""
+    rng = np.random.default_rng([seed, *dims])
+    w = rng.dirichlet(np.ones(dims[0] * dims[1]))
+    k = min(k, w.size - 2)
+    w[: k + 1] = 0
+    w[k] = tiny * w.sum() / (1 - tiny)  # w[k] = tiny once normalized
+    return _product_state(w.reshape(dims), rng)
+
+
 def _check_classical(rho: DensityMatrix) -> None:
     """Never NONCLASSICAL, and a CLASSICAL verdict's basis and weights rebuild the state within tol.offdiag."""
     verdict = classify(rho)
@@ -143,3 +156,47 @@ def test_classical_states_with_a_near_degenerate_eigenvalue_pair(rho):
 @given(st.builds(_near_rows, st.integers(2, 4), _seeds, st.sampled_from([1.5, 2, 5, 10, 30])))
 def test_classical_states_with_near_degenerate_reduced_spectra(rho):
     _check_classical(rho)
+
+
+@given(st.builds(_tiny_weight, _dims_2_4, _seeds, st.integers(1, 14), st.sampled_from([2e-10, 5e-10, 1e-9, 1e-8])))
+def test_classical_states_with_an_eigenvalue_next_to_the_null_space(rho):
+    _check_classical(rho)
+
+
+def _perturbed(dims: tuple[int, int], seed: int, size: float) -> DensityMatrix:
+    """A random_classical state plus a random traceless Hermitian matrix of spectral norm size."""
+    rho = random_classical(dims, seed=seed).state
+    rng = np.random.default_rng([seed, *dims])
+    d = rho.dims.total
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = h + h.conj().T
+    h -= np.trace(h) / d * np.eye(d)
+    return DensityMatrix(rho.mat + size * h / np.linalg.norm(h, 2), rho.dims)
+
+
+@given(st.builds(_perturbed, _dims.filter(lambda dims: dims[0] * dims[1] >= 2), _seeds, st.sampled_from([1e-13, 1e-12, 1e-11])))
+def test_classical_states_perturbed_far_below_deg_keep_m_below_tol_measure(rho):
+    assert truncation_measure(rho).value < DEFAULT_TOLERANCES.measure
+
+
+def _chained(dims: tuple[int, int], seed: int, k: float) -> tuple[DensityMatrix, float]:
+    """A state in a Haar-random product basis with three weights k tol.deg apart, and the middle one."""
+    rng = np.random.default_rng([seed, *dims])
+    gap = k * DEFAULT_TOLERANCES.deg
+    base = rng.uniform(0.05, 0.2)
+    rest = rng.dirichlet(np.ones(dims[0] * dims[1] - 3)) * (1 - 3 * base - 3 * gap)
+    w = np.concatenate([[base, base + gap, base + 2 * gap], rest])
+    return _product_state(w.reshape(dims), rng), base + gap
+
+
+_dims_chain = st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)])
+
+
+@given(st.builds(_chained, _dims_chain, st.integers(0, 19), st.sampled_from([0.5, 0.9, 0.99])))
+def test_eigenvalues_chained_just_under_deg_form_one_cluster_and_keep_m_zero(chained):
+    """Each gap is under tol.deg, the two together at least tol.deg, yet the three share one cluster,
+    whose reduced spectra are multiples of its mean, so M stays at rounding level."""
+    rho, middle = chained
+    (cluster,) = [c for c in cluster_spectrum(rho).clusters if abs(c.eta - middle) <= DEFAULT_TOLERANCES.deg]
+    assert cluster.multiplicity == 3
+    assert truncation_measure(rho).value < DEFAULT_TOLERANCES.measure

@@ -141,8 +141,8 @@ _BOOL_DIMS = (
 )
 
 
-# At 40 pairs a block, the 9 rows of a 3x3 file are read in blocks of 4, 4
-# and 1, as the 91 rows of a 7x13 file are at 4096 pairs a block.
+# Above 40 pairs, the 81 pairs of a 3x3 file are read row by row, as the
+# 8281 pairs of a 7x13 file are above 4096.
 _SMALL_BLOCK = 40
 _MUTATIONS = ("none", "number", "drop_pair", "trailing_key", "trailing_text", "matrix_first", "reindent")
 _LITERALS = ("true", "null", '"1"', "NaN", "-0", "9" * 400)
@@ -255,8 +255,8 @@ class TestStateFiles:
 
     def test_one_pass_io_equals_per_entry_reference(self):
         """state_file_text and parse_state_text give the text and the bits of
-        the per-entry serializer and parser in tests/oracles.py, on files that
-        fit in one block and on files written and read in three or more."""
+        the per-entry serializer and parser in tests/oracles.py, on files read
+        by one json.loads and on files read row by row."""
         checked = multi_block = 0
         for rho in _cross_check_states():
             text = state_file_text(rho)
@@ -279,9 +279,9 @@ class TestStateFiles:
     @example("number", 8, 2, _LITERALS[4])
     @example("number", 8, 7, _LITERALS[5])
     def test_mutated_multi_block_file_parses_as_per_entry_reference(self, kind, i, j, literal):
-        """A file of three blocks, changed in one place, gives the bits or the
-        message of the per-entry parser, whichever path it takes. Blocks of
-        40 pairs keep each example small."""
+        """A file read row by row, changed in one place, gives the bits or the
+        message of the per-entry parser, whichever path it takes. A threshold
+        of 40 pairs keeps each example small."""
         text = _mutate(_multi_block_text(), kind, 9 * i + j, literal)
         try:
             want = _bits(per_entry_parse_state_text(text).mat)
@@ -330,7 +330,7 @@ class TestStateFiles:
 
     @pytest.mark.parametrize("literal", _UNDECODABLE_ROWS)
     def test_undecodable_row_of_a_multi_block_file_rejected(self, literal):
-        """The block reader hands a row json cannot decode to the whole-text path."""
+        """The row reader hands a row json cannot decode to the whole-text path."""
         text = _mutate(_multi_block_text(), "number", 45, literal)
         with mock.patch.object(ncorr.io, "_BLOCK", _SMALL_BLOCK):
             assert _read_blocks(text) is None
@@ -377,7 +377,7 @@ def _cross_check_states():
             if d > 1:
                 yield random_density((dA, dB), rank=1 + seed % (d - 1), seed=seed)
     yield random_density((12, 12), seed=5)
-    # 91 rows, read in blocks of 45, 45 and 1
+    # 91 rows of a rectangular shape, read row by row
     yield random_classical((7, 13), seed=2).state
 
 

@@ -165,6 +165,12 @@ class TestBellDiagonalFamily:
         with pytest.raises(DomainError, match="negative eigenvalue"):
             kappa(1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("coefficients", [(math.inf, 0, 0), (1e308, 1e308, 0)])
+    def test_rejects_out_of_range_coefficients_before_building_the_matrix(self, coefficients):
+        """inf and 1e308 would overflow the matrix; numpy's warnings are errors under this suite."""
+        with pytest.raises(DomainError, match="negative eigenvalue"):
+            kappa(*coefficients)
+
     def test_pure_corner_case(self):
         """c = (1, -1, 1) is a maximally entangled vector, not a mixture."""
         rho = kappa(1.0, -1.0, 1.0)
