@@ -28,7 +28,6 @@ from .linalg import (
     BipartiteDims,
     DensityMatrix,
     EigenSystem,
-    commutator_fro_norm,
     partial_trace,
     partial_transpose,
     projector,

@@ -154,15 +154,6 @@ def projector(vec: np.ndarray) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def commutator_fro_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of the commutator [a, b]."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise MalformedInputError(f"operands must be square matrices of equal shape, got {a.shape} and {b.shape}")
-    return float(np.linalg.norm(a @ b - b @ a, "fro"))
-
-
 def tensor_product(state_1: DensityMatrix, state_2: DensityMatrix) -> DensityMatrix:
     """Tensor product of two bipartite states as one bipartite state.
 

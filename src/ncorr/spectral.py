@@ -68,8 +68,7 @@ def cluster_spectrum(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -
     for lo, hi in zip(bounds, bounds[1:]):
         eta = float(values[lo:hi].mean())
         if eta > tol.zero:
-            # A column-major copy: the bits of truncated_component's products depend on the layout.
-            clusters.append(EigenCluster(eta=eta, multiplicity=hi - lo, vectors=vectors[:, lo:hi].copy(order="F")))
+            clusters.append(EigenCluster(eta=eta, multiplicity=hi - lo, vectors=vectors[:, lo:hi]))
     dropped = len(values) - sum(c.multiplicity for c in clusters)
     return SpectralDecomposition(clusters=tuple(clusters), dropped=dropped)
 

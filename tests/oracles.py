@@ -296,6 +296,19 @@ def dense_component_spectra(cluster, dims, tol):
     return tuple(spectra)
 
 
+def kron_commutator_norms(rho):
+    """detect_commutator's two witnesses before it multiplied on the block
+    view: ||[rho, rho_A (x) 1]||_F and ||[rho, 1 (x) rho_B]||_F, each from the
+    d x d Kronecker operator and both d x d x d products. The library must
+    agree with them to within a few d eps ||K||_F ||rho||_F; it makes the
+    same two products per side, so a non-Hermitian rho (up to tol.herm) does
+    not change that."""
+    mat, dims = rho.mat, rho.dims
+    kron_a = np.kron(rho.reduced["A"], np.eye(dims.dB))
+    kron_b = np.kron(np.eye(dims.dA), rho.reduced["B"])
+    return tuple(float(np.linalg.norm(mat @ k - k @ mat, "fro")) for k in (kron_a, kron_b))
+
+
 def per_entry_state_file_text(mat, dims):
     """The state-file serializer before it filled one template: a nested list
     of [re, im] pairs through the library's generic dumps, so each number is

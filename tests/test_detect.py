@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import oracles
 from ncorr import (
     CLASSICAL,
     DEFAULT_TOLERANCES,
@@ -24,6 +25,7 @@ from ncorr import (
     phi_p,
     projector,
     random_classical,
+    random_density,
     sigma,
     tau,
     varsigma,
@@ -249,6 +251,65 @@ class TestNecessaryConditions:
 
     def test_npt_on_separable(self):
         assert detect_npt(sigma()).outcome == "inconclusive"
+
+
+def commutator_bounds(rho):
+    """Per side, the largest gap allowed between detect_commutator's witness and the Kronecker oracle's.
+
+    Both compute ||K rho - rho K||_F, K = rho_A (x) 1 or 1 (x) rho_B, from the
+    same K. Each product sums at most d terms, so it is off by at most about
+    d eps |K| |rho| entrywise, d eps ||K||_F ||rho||_F in Frobenius norm. The
+    difference, the norm's sum of d^2 squares and its square root add at most
+    (d + 2) eps of the witness, which is at most 2 ||K||_F ||rho||_F. So each
+    evaluation is within (4d + 4) eps ||K||_F ||rho||_F of the exact norm, and
+    the two within twice that. ||rho_A (x) 1||_F = sqrt(dB) ||rho_A||_F.
+    """
+    dims, fro = rho.dims, np.linalg.norm(rho.mat)
+    k_norms = (
+        np.sqrt(dims.dB) * np.linalg.norm(rho.reduced["A"]),
+        np.sqrt(dims.dA) * np.linalg.norm(rho.reduced["B"]),
+    )
+    return tuple(8 * (dims.total + 1) * np.finfo(float).eps * k * fro for k in k_norms)
+
+
+def commutator_cases(dA, dB, seed):
+    """A random state, a classical one, that classical state moved along a random
+    traceless Hermitian direction until its witness is 0.5, 0.99, 1.01 and 2
+    times tol.comm, and it plus a real antisymmetric part that leaves
+    |m - m^dag| at 0.9 tol.herm, which validation accepts."""
+    tol, dims, d = DEFAULT_TOLERANCES, (dA, dB), dA * dB
+    rng = np.random.default_rng(seed)
+    mat = random_classical(dims, seed).state.mat
+    cases = [random_density(dims, seed=seed), DensityMatrix(mat, dims)]
+    if min(dims) > 1:  # else every state commutes with both reduced states
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = (z + z.conj().T) / 2
+        h -= np.trace(h).real / d * np.eye(d)
+        h /= np.linalg.norm(h, 2)
+        w = max(oracles.kron_commutator_norms(DensityMatrix(mat + 1e-6 * h, dims)))  # about linear in the step
+        cases += [DensityMatrix(mat + f * tol.comm * 1e-6 / w * h, dims) for f in (0.5, 0.99, 1.01, 2.0)]
+    if d > 1:
+        a = rng.standard_normal((d, d))
+        a -= a.T
+        cases.append(DensityMatrix(mat + 0.45 * tol.herm / np.abs(a).max() * a, dims))
+    return cases
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**16))
+def test_commutator_matches_kron_oracle(dA, dB, seed):
+    """The block-view commutator agrees with the d x d Kronecker form (tests/oracles.py)
+    within commutator_bounds; where the gap to tol.comm, or between the two sides,
+    is beyond that bound, the outcome and the side it names agree too."""
+    tol = DEFAULT_TOLERANCES
+    for rho in commutator_cases(dA, dB, seed):
+        out = detect_commutator(rho)
+        ca, cb = oracles.kron_commutator_norms(rho)
+        ba, bb = commutator_bounds(rho)
+        assert abs(out.witness - max(ca, cb)) <= max(ba, bb)
+        if abs(max(ca, cb) - tol.comm) > max(ba, bb):
+            assert out.outcome == ("nonclassical" if max(ca, cb) > tol.comm else "inconclusive")
+        if out.outcome == "nonclassical" and abs(ca - cb) > ba + bb:
+            assert out.detail.endswith(f"reduced state {'A' if ca > cb else 'B'} (x) identity")
 
 
 class TestClassify:

@@ -11,7 +11,6 @@ from ncorr import (
     MalformedInputError,
     bell,
     classify,
-    commutator_fro_norm,
     partial_trace,
     partial_transpose,
     partition_measure,
@@ -264,21 +263,6 @@ class TestHermitianEig:
     def test_rejects_non_square(self):
         with pytest.raises(MalformedInputError, match="square"):
             von_neumann_entropy(np.zeros((2, 3)))
-
-
-class TestCommutator:
-    def test_zero_for_commuting(self):
-        assert commutator_fro_norm(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])) == 0.0
-
-    def test_pauli_pair(self):
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        z = np.diag([1.0, -1.0]).astype(complex)
-        # [X, Z] = -2iY has Frobenius norm 2 sqrt(2)
-        assert abs(commutator_fro_norm(x, z) - 2 * np.sqrt(2)) < 1e-12
-
-    def test_rejects_mismatched(self):
-        with pytest.raises(MalformedInputError, match="square matrices of equal shape"):
-            commutator_fro_norm(np.eye(2), np.eye(3))
 
 
 class TestTensorProduct:
