@@ -63,7 +63,6 @@ from .states import (
     StateSpec,
     apply_local_unitaries,
     bell,
-    bell_basis,
     build,
     haar_unitary,
     kappa,

@@ -1,13 +1,15 @@
 """Polynomial-time tests for the existence of a product eigenbasis.
 
 Each detector either reaches a decisive verdict or reports why it cannot.
-CLASSICAL verdicts always come with an explicit product eigenbasis, and each
-passes one check, _in_product_basis: the basis leaves at most tol.offdiag off
-the diagonal of the state. NONCLASSICAL verdicts rest on a necessity argument
-(a nondegenerate eigenvector of the wrong shape, a reduced eigenbasis that
-fails to diagonalize, non-commuting conditional blocks, a non-vanishing
-commutator with a reduced state, a negative partial-transpose eigenvalue, or
-a truncation measure above tol.measure).
+One certificate, _certify, builds every classical outcome, with an explicit
+product basis that leaves at most tol.offdiag off the diagonal of the state.
+NONCLASSICAL verdicts rest on a necessity argument (a nondegenerate
+eigenvector of the wrong shape, a reduced eigenbasis that fails to
+diagonalize, non-commuting conditional blocks, a non-vanishing commutator
+with a reduced state, a negative partial-transpose eigenvalue, or a
+truncation measure above tol.measure), and one rule, _decide, calls a witness
+nonclassical only beyond threshold + error bound; its docstring names the
+comparisons it does not make.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .linalg import DensityMatrix, _blocks, projector
-from .measures import ppt_min_eigenvalue, schmidt_decomposition, truncation_measure
+from .measures import schmidt_decomposition, truncation_measure
 
 CLASSICAL = "CLASSICAL"
 NONCLASSICAL = "NONCLASSICAL"
@@ -67,14 +69,41 @@ def _in_product_basis(mat: np.ndarray, basis_a: np.ndarray, basis_b: np.ndarray)
     """Weights and off-diagonal residual of mat in the product basis kron(basis_a, basis_b).
 
     The weights are the diagonal of U^dag mat U as a (dA, dB) array, the
-    residual the Frobenius norm of the rest. Every classical outcome rests on
-    this one check: the basis diagonalizes the state when the residual is zero.
+    residual the Frobenius norm of the rest, zero when the basis diagonalizes mat.
     """
     u = np.kron(basis_a, basis_b)
     rotated = u.conj().T @ mat @ u
     diagonal = np.diagonal(rotated)
     residual = float(np.linalg.norm(rotated - np.diag(diagonal), "fro"))
     return diagonal.real.reshape(basis_a.shape[1], basis_b.shape[1]), residual
+
+
+def _decide(name: str, witness: float, threshold: float, bound: float, details: dict[str, str]) -> TestOutcome:
+    """The decision rule: "nonclassical" when witness exceeds threshold + bound, else "inconclusive".
+
+    bound is the error the witness may carry (an infinite one never decides);
+    details maps each outcome to its detail. Three comparisons keep their own
+    test, because the witness they report is not the quantity they compare:
+    global's Schmidt s2 (decided on s2^2 > tol.rank), global's two-sided
+    overlap test, and npt's lambda_min (decided on lambda_min < -tol.psd).
+    """
+    outcome = "nonclassical" if witness > threshold + bound else "inconclusive"
+    return TestOutcome(name, outcome, witness, details[outcome])
+
+
+def _certify(
+    name: str, rho: DensityMatrix, bases: tuple, tol: Tolerances, details: dict[str, str], witness=None, slack=np.inf
+) -> TestOutcome:
+    """The one way to a classical outcome: the product basis leaves at most tol.offdiag off rho's diagonal.
+
+    The witness is that residual unless one is given. Past tol.offdiag, _decide
+    judges it against tol.offdiag + slack, the most eigh's error can add.
+    """
+    weights, residual = _in_product_basis(rho.mat, *bases)
+    witness = residual if witness is None else witness
+    if residual > tol.offdiag:
+        return _decide(name, witness, tol.offdiag, slack, details)
+    return TestOutcome(name, "classical", witness, details["classical"], *bases, weights)
 
 
 def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> TestOutcome:
@@ -145,18 +174,11 @@ def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TO
             float(len(nonzero)),
             "product checks passed but the spectrum is rank-deficient",
         )
-    weights, residual = _in_product_basis(rho.mat, *bases)
-    if residual > tol.offdiag:
-        return TestOutcome(name, "inconclusive", residual, "product basis failed to reconstruct the state")
-    return TestOutcome(
-        name,
-        "classical",
-        residual,
-        "nondegenerate eigenvectors form a product eigenbasis",
-        basis_a=bases[0],
-        basis_b=bases[1],
-        weights=weights,
-    )
+    details = {
+        "classical": "nondegenerate eigenvectors form a product eigenbasis",
+        "inconclusive": "product basis failed to reconstruct the state",
+    }
+    return _certify(name, rho, bases, tol, details)
 
 
 def detect_local_both_nondegenerate(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> TestOutcome:
@@ -172,27 +194,15 @@ def detect_local_both_nondegenerate(rho: DensityMatrix, tol: Tolerances = DEFAUL
     gap = min(_min_gap(wa), _min_gap(wb))
     if gap <= tol.deg:
         return TestOutcome(name, "not-applicable", gap, "a reduced spectrum is degenerate")
-    weights, residual = _in_product_basis(rho.mat, va, vb)
-    if residual > tol.offdiag:
-        # eigh's local eigenvectors may be off by up to n eps ||rho_side|| / gap_side each (Davis-Kahan),
-        # which can raise the residual by twice ||rho||_F times their sum.
-        slack = sum(len(w) * w[-1] / _min_gap(w) for w in (wa, wb)) * 2 * _EPS * np.linalg.norm(rho.mat)
-        if residual <= tol.offdiag + slack:
-            return TestOutcome(
-                name, "inconclusive", residual, f"residual lies within the eigenvector error bound {slack:.3g}"
-            )
-        return TestOutcome(
-            name, "nonclassical", residual, "local eigenbasis product does not diagonalize the state"
-        )
-    return TestOutcome(
-        name,
-        "classical",
-        residual,
-        "product of local eigenbases diagonalizes the state",
-        basis_a=va,
-        basis_b=vb,
-        weights=weights,
-    )
+    # eigh's local eigenvectors may be off by up to n eps ||rho_side|| / gap_side each (Davis-Kahan),
+    # which can raise the residual by twice ||rho||_F times their sum.
+    slack = sum(len(w) * w[-1] / _min_gap(w) for w in (wa, wb)) * 2 * _EPS * np.linalg.norm(rho.mat)
+    details = {
+        "classical": "product of local eigenbases diagonalizes the state",
+        "inconclusive": f"residual lies within the eigenvector error bound {slack:.3g}",
+        "nonclassical": "local eigenbasis product does not diagonalize the state",
+    }
+    return _certify(name, rho, (va, vb), tol, details, slack=slack)
 
 
 def _conditional_blocks(rho: DensityMatrix, basis: np.ndarray, sandwiched: str) -> np.ndarray:
@@ -214,7 +224,7 @@ def detect_local_one_nondegenerate(rho: DensityMatrix, tol: Tolerances = DEFAULT
     The state must be block-diagonal across that side's unique eigenbasis,
     and the conditional blocks must pairwise commute; both conditions
     together are equivalent to a product eigenbasis, so each failure is
-    decisive.
+    decisive. A joint eigenbasis that fails the certificate is inconclusive.
     """
     name = "local-one-nondegenerate"
     wa, va = rho.reduced_eig["A"]
@@ -244,19 +254,11 @@ def detect_local_one_nondegenerate(rho: DensityMatrix, tol: Tolerances = DEFAULT
     worst = max((float(np.linalg.norm(a @ b - b @ a, "fro")) for a, b in combinations(blocks, 2)), default=0.0)
     if worst > tol.comm:
         return TestOutcome(name, "nonclassical", worst, "conditional blocks do not commute")
-    basis_a, basis_b = (_joint_eigenbasis(blocks), basis)[::by_side]
-    weights, residual = _in_product_basis(rho.mat, basis_a, basis_b)
-    if residual > tol.offdiag:
-        return TestOutcome(name, "inconclusive", worst, "failed to jointly diagonalize commuting blocks")
-    return TestOutcome(
-        name,
-        "classical",
-        worst,
-        "state is block-diagonal with commuting conditional blocks",
-        basis_a=basis_a,
-        basis_b=basis_b,
-        weights=weights,
-    )
+    details = {
+        "classical": "state is block-diagonal with commuting conditional blocks",
+        "inconclusive": "failed to jointly diagonalize commuting blocks",
+    }
+    return _certify(name, rho, (_joint_eigenbasis(blocks), basis)[::by_side], tol, details, witness=worst)
 
 
 def detect_commutator(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> TestOutcome:
@@ -271,19 +273,17 @@ def detect_commutator(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) 
     # One side at a time, so at most two products and their difference are alive.
     ca = float(np.linalg.norm((ra @ mat.reshape(dA, -1)).reshape(d, d) - (ra.T @ rows).reshape(d, d), "fro"))
     cb = float(np.linalg.norm((rb @ mat.reshape(dA, dB, d)).reshape(d, d) - (rows @ rb).reshape(d, d), "fro"))
-    witness = max(ca, cb)
-    if witness > tol.comm:
-        side = "A" if ca >= cb else "B"
-        return TestOutcome(
-            name, "nonclassical", witness, f"state does not commute with reduced state {side} (x) identity"
-        )
-    return TestOutcome(name, "inconclusive", witness, "state commutes with both reduced states")
+    details = {
+        "nonclassical": f"state does not commute with reduced state {'A' if ca >= cb else 'B'} (x) identity",
+        "inconclusive": "state commutes with both reduced states",
+    }
+    return _decide(name, max(ca, cb), tol.comm, 0.0, details)
 
 
 def detect_npt(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> TestOutcome:
     """Entanglement certificate: negative partial-transpose eigenvalue."""
     name = "npt"
-    m = ppt_min_eigenvalue(rho)
+    m = rho.ppt_min_eig
     if m < -tol.psd:
         return TestOutcome(name, "nonclassical", m, "partial transpose has a negative eigenvalue")
     return TestOutcome(name, "inconclusive", m, "partial transpose is positive semidefinite")
@@ -291,11 +291,8 @@ def detect_npt(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> Test
 
 def _measure_witness(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> TestOutcome:
     """Necessary condition: a classical state has truncation measure zero."""
-    name = "measure-witness"
-    m = truncation_measure(rho, tol).value
-    if m > tol.measure:
-        return TestOutcome(name, "nonclassical", m, "truncation measure exceeds threshold")
-    return TestOutcome(name, "inconclusive", m, "truncation measure is zero")
+    details = {"nonclassical": "truncation measure exceeds threshold", "inconclusive": "truncation measure is zero"}
+    return _decide("measure-witness", truncation_measure(rho, tol).value, tol.measure, 0.0, details)
 
 
 _DETECTORS = (

@@ -127,7 +127,7 @@ def truncation_measure(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES)
             ),
             entropy_a=_entropy(rho.reduced_eig["A"].values, tol),
             entropy_b=_entropy(rho.reduced_eig["B"].values, tol),
-            ppt_min_eig=ppt_min_eigenvalue(rho),
+            ppt_min_eig=rho.ppt_min_eig,
         )
     return report
 
@@ -333,5 +333,9 @@ def entropy_of_entanglement(vec: np.ndarray, dims, tol: Tolerances = DEFAULT_TOL
 
 
 def ppt_min_eigenvalue(rho: DensityMatrix) -> float:
-    """Minimum eigenvalue of the partial transpose; negative certifies entanglement."""
+    """Minimum eigenvalue of the partial transpose; negative certifies entanglement.
+
+    The library reads rho.ppt_min_eig directly; this stays exported because
+    perfbench/pipeline.py imports it.
+    """
     return rho.ppt_min_eig

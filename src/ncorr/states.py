@@ -178,18 +178,6 @@ def kappa_eigenvalues(c_x: float, c_y: float, c_z: float) -> tuple[float, float,
     )
 
 
-def bell_basis() -> np.ndarray:
-    """Columns are the four Bell vectors, ordered to match kappa_eigenvalues."""
-    k0, k1 = ket(0, 2), ket(1, 2)
-    cols = [
-        (np.kron(k0, k1) - np.kron(k1, k0)) / math.sqrt(2),
-        (np.kron(k0, k0) - np.kron(k1, k1)) / math.sqrt(2),
-        (np.kron(k0, k0) + np.kron(k1, k1)) / math.sqrt(2),
-        (np.kron(k0, k1) + np.kron(k1, k0)) / math.sqrt(2),
-    ]
-    return np.column_stack(cols)
-
-
 def _as_int(value, what: str) -> int:
     """value given as an int or as a finite, integral float; a bool is neither."""
     if not isinstance(value, bool) and (

@@ -361,3 +361,34 @@ def per_entry_parse_state_text(text):
                 raise MalformedInputError(f"matrix entry ({i}, {j}) must be a [re, im] pair of numbers")
             mat[i, j] = complex(entry[0], entry[1])
     return DensityMatrix(mat, dims)
+
+
+def exact_classical(mat, dims) -> bool:
+    """Whether mat, read entry by entry as the rational complex number it
+    stores (Fraction of each double, over Q(i)), has a product eigenbasis.
+
+    Write mat = sum_ij |i><j| (x) B_ij over A's computational basis. For a
+    Hermitian mat the B_ij are closed under the adjoint, so they share an
+    eigenbasis, and mat is classical on B, iff they commute pairwise. The
+    blocks <k| mat |l> over B's basis decide side A the same way, and both
+    sides together give a product eigenbasis. There is no tolerance: this
+    decides the matrix exactly as stored, so its domain is states whose
+    float entries are built exactly. dims is the pair (dA, dB)."""
+    dA, dB = dims
+    r = np.asarray(mat, dtype=np.complex128).reshape(dA, dB, dA, dB)
+    re, im = (np.vectorize(Fraction, otypes=[object])(part) for part in (r.real, r.imag))
+    sides = (
+        [(re[i, :, j, :], im[i, :, j, :]) for i in range(dA) for j in range(dA)],
+        [(re[:, k, :, l], im[:, k, :, l]) for k in range(dB) for l in range(dB)],
+    )
+    return all(_exact_commute(x, y) for blocks in sides for x, y in itertools.combinations(blocks, 2))
+
+
+def _exact_product(x, y):
+    """(a + ib)(c + id) for Fraction matrices given as (real, imaginary) pairs."""
+    (a, b), (c, d) = x, y
+    return a @ c - b @ d, a @ d + b @ c
+
+
+def _exact_commute(x, y) -> bool:
+    return all((p == q).all() for p, q in zip(_exact_product(x, y), _exact_product(y, x)))

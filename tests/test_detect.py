@@ -1,4 +1,6 @@
 """Product-eigenbasis detection battery."""
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -30,7 +32,7 @@ from ncorr import (
     tau,
     varsigma,
 )
-from ncorr.detect import _in_product_basis, _joint_eigenbasis
+from ncorr.detect import _conditional_blocks, _in_product_basis, _joint_eigenbasis
 
 
 def reconstruct(basis_a, basis_b, weights):
@@ -46,6 +48,14 @@ def conditional_state(weights, basis_a, basis_b):
     """Explicitly classical state diagonal in the given product basis."""
     dims = (basis_a.shape[0], basis_b.shape[0])
     return DensityMatrix(reconstruct(basis_a, basis_b, weights), dims)
+
+
+def commuting_blocks_state():
+    """Degenerate A reduction, nondegenerate B reduction, diagonal blocks."""
+    rng = np.random.default_rng(2)
+    ub, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    weights = np.array([[0.30, 0.20], [0.35, 0.15]])  # equal row sums
+    return conditional_state(weights, np.eye(2), ub)
 
 
 class TestGlobalNondegenerate:
@@ -172,11 +182,7 @@ class TestLocalOneNondegenerate:
         assert detect_local_one_nondegenerate(phi_p(0.3)).outcome == "not-applicable"
 
     def test_commuting_blocks_certified(self):
-        """Degenerate A reduction, nondegenerate B reduction, diagonal blocks."""
-        rng = np.random.default_rng(2)
-        ub, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        weights = np.array([[0.30, 0.20], [0.35, 0.15]])  # equal row sums
-        rho = conditional_state(weights, np.eye(2), ub)
+        rho = commuting_blocks_state()
         out = detect_local_one_nondegenerate(rho)
         assert out.outcome == "classical"
         rebuilt = reconstruct(out.basis_a, out.basis_b, out.weights)
@@ -390,3 +396,119 @@ class TestClassify:
         assert verdict.verdict == CLASSICAL
         rebuilt = reconstruct(verdict.basis_a, verdict.basis_b, verdict.weights)
         assert np.abs(rebuilt - sample.state.mat).max() < 1e-8
+
+
+def _nondegenerate(values) -> bool:
+    return len(values) < 2 or np.diff(values).min() > DEFAULT_TOLERANCES.deg
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        random_classical((2, 3), seed=1).state,
+        random_classical((3, 3), seed=2).state,
+        commuting_blocks_state(),
+        conditional_state(np.array([[0.1, 0.2, 0.05], [0.1, 0.2, 0.05], [0.05, 0.2, 0.05]]), np.eye(3), np.eye(3)),
+    ],
+    ids=["random-2x3", "random-3x3", "commuting-blocks", "one-degenerate-side"],
+)
+def test_classical_witness_convention(rho):
+    """A classical outcome of global or local-both reports the certificate's residual for the bases it
+    returns; local-one's reports the largest ||[B_i, B_j]||_F over its conditional blocks."""
+    certified = [o for o in classify(rho).evidence if o.outcome == "classical"]
+    assert certified
+    for out in certified:
+        if out.test == "local-one-nondegenerate":
+            side = "B" if _nondegenerate(rho.reduced_eig["B"].values) else "A"
+            blocks = _conditional_blocks(rho, out.basis_b if side == "B" else out.basis_a, side)
+            assert out.witness == max(float(np.linalg.norm(a @ b - b @ a)) for a, b in combinations(blocks, 2))
+        else:
+            assert out.witness == _in_product_basis(rho.mat, out.basis_a, out.basis_b)[1]
+
+
+_KAPPA_LEVELS = (-0.3, -0.15, 0.0, 0.15, 0.3)
+_EXACT_CATALOG = (
+    [StateSpec(name) for name in ("varsigma", "sigma", "sigma_prime", "sigma_dprime", "tau", "zeta", "zeta_prime")]
+    + [StateSpec(name) for name in ("xi", "xi_prime", "kappa")]
+    + [StateSpec("bell", {"N": n}) for n in (2, 3, 4)]
+    + [StateSpec("phi_p", {"p": p}) for p in (0, 0.25, 0.5, 1)]
+    + [
+        StateSpec("kappa", {"c_x": x, "c_y": y, "c_z": z})
+        for x in _KAPPA_LEVELS
+        for y in _KAPPA_LEVELS
+        for z in _KAPPA_LEVELS
+    ]
+)
+
+
+def _verdict_and_truth(rho) -> tuple[str, bool]:
+    """classify's verdict, and whether the state is exactly classical (tests/oracles.py)."""
+    return classify(rho).verdict, oracles.exact_classical(rho.mat, (rho.dims.dA, rho.dims.dB))
+
+
+def test_catalog_verdicts_agree_with_the_exact_oracle():
+    """The nine fixed catalog states, default kappa, bell 2-4, phi_p at 0, 1/4, 1/2 and 1, and the
+    125-point kappa grid, all built exactly: no verdict contradicts the exact oracle, and every
+    UNKNOWN state is exactly classical."""
+    assert len(_EXACT_CATALOG) == 142
+    failures = {}
+    for spec in _EXACT_CATALOG:
+        verdict, exact = _verdict_and_truth(build(spec))
+        if verdict == (NONCLASSICAL if exact else CLASSICAL) or (verdict == UNKNOWN and not exact):
+            failures[f"{spec.name} {dict(spec.params)}"] = (verdict, exact)
+    assert failures == {}
+
+
+def _exact_projectors(n: int, order: list, phases: list) -> list:
+    """Rank-one projectors onto an orthonormal basis of C^n with every entry in {0, +-1/2, +-i/2, 1}: the
+    computational basis in the given order, with each consecutive pair (a, b) whose phase p is nonzero
+    replaced by (|a> + p|b>)/sqrt(2) and (|a> - p|b>)/sqrt(2), built entry by entry so that they are exact."""
+    e = np.eye(n, dtype=complex)
+    projectors = [np.outer(e[i], e[i]) for i in order]
+    for k, phase in zip(range(0, n - 1, 2), phases):
+        if phase:
+            a, b = order[k], order[k + 1]
+            half = (np.outer(e[a], e[a]) + np.outer(e[b], e[b])) / 2
+            cross = phase / 2 * np.outer(e[b], e[a])
+            cross += cross.conj().T
+            projectors[k], projectors[k + 1] = half + cross, half - cross
+    return projectors
+
+
+@st.composite
+def _exact_binary_states(draw):
+    """A state exact in binary: sum_jk w_jk P_j (x) Q_k over two exact local bases, with integer weights
+    over a power-of-two total, so classical by construction; or that sum plus a Bell-pair projector
+    on |00>, |11> or a |0>|+> term, which may make it nonclassical."""
+    dims = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    phases = st.sampled_from([0, 1, 1j])
+    sides = [
+        _exact_projectors(n, draw(st.permutations(range(n))), draw(st.lists(phases, min_size=n // 2, max_size=n // 2)))
+        for n in dims
+    ]
+    weights = draw(st.lists(st.integers(0, 3), min_size=dims[0] * dims[1], max_size=dims[0] * dims[1]))
+    extra = draw(st.sampled_from(["none", "bell", "zero-plus"] if min(dims) > 1 else ["none"]))
+    extra_weight = 0 if extra == "none" else draw(st.integers(1, 3))
+    total = sum(weights) + extra_weight
+    weights[0] += 2 ** max(total - 1, 0).bit_length() - total  # the total becomes a power of two
+    mat = sum(w * np.kron(p, q) for w, (p, q) in zip(weights, product(*sides)))
+    d, dB = dims[0] * dims[1], dims[1]
+    if extra == "bell":
+        corners = np.ix_([0, dB + 1], [0, dB + 1])
+        term = np.zeros((d, d), dtype=complex)
+        term[corners] = 0.5
+        mat = mat + extra_weight * term
+    elif extra == "zero-plus":
+        plus = np.zeros((dB, dB), dtype=complex)
+        plus[:2, :2] = 0.5
+        mat = mat + extra_weight * np.kron(np.diag(np.eye(dims[0])[0]).astype(complex), plus)
+    return DensityMatrix(mat / (sum(weights) + extra_weight), dims), extra
+
+
+@given(_exact_binary_states())
+def test_classify_never_contradicts_the_exact_oracle(case):
+    rho, extra = case
+    verdict, exact = _verdict_and_truth(rho)
+    if extra == "none":
+        assert exact
+    assert verdict != (NONCLASSICAL if exact else CLASSICAL)

@@ -877,12 +877,20 @@ class TestGoldenReports:
         frozen = _normalize_version((DATA_DIR / "compute_varsigma.json").read_text())
         assert produced == frozen
 
-    def test_detect_sigma(self, tmp_path, capsys):
-        path = _write_state(tmp_path, "sigma", sigma())
+    @staticmethod
+    def _check_detect(name, state, tmp_path, capsys):
+        path = _write_state(tmp_path, name, state)
         assert main(["detect", "--in", path, "--json"]) == 0
         produced = _normalize_version(capsys.readouterr().out)
-        frozen = _normalize_version((DATA_DIR / "detect_sigma.json").read_text())
+        frozen = _normalize_version((DATA_DIR / f"detect_{name}.json").read_text())
         assert produced == frozen
+
+    def test_detect_sigma(self, tmp_path, capsys):
+        self._check_detect("sigma", sigma(), tmp_path, capsys)
+
+    def test_detect_varsigma(self, tmp_path, capsys):
+        """Decided by local-one-nondegenerate, so this pins that detector's trail."""
+        self._check_detect("varsigma", varsigma(), tmp_path, capsys)
 
 
 class TestGoldenText:
@@ -915,16 +923,22 @@ class TestGoldenText:
         path = _write_state(tmp_path, "varsigma", varsigma())
         assert self._text_after_header(["compute", "--which", "all"], path, "2x2", capsys) == want
 
-    def test_detect_sigma(self, tmp_path, capsys):
-        doc = json.loads((DATA_DIR / "detect_sigma.json").read_text())
+    def _check_detect(self, name, state, tmp_path, capsys):
+        doc = json.loads((DATA_DIR / f"detect_{name}.json").read_text())
         section = doc["detection"]
         want = [f"verdict: {section['verdict']} (decided by: {section['decided_by'] or 'none'})", "evidence:"]
         want += [f"  {e['test']}: {e['outcome']} (witness={e['witness']:.6g}) {e['detail']}" for e in section["evidence"]]
         if "basis_A" in section:
             want.append("witnessing product eigenbasis emitted (use --json for the matrices)")
         want.append(self._tolerance_line(doc))
-        path = _write_state(tmp_path, "sigma", sigma())
+        path = _write_state(tmp_path, name, state)
         assert self._text_after_header(["detect"], path, "2x2", capsys) == want
+
+    def test_detect_sigma(self, tmp_path, capsys):
+        self._check_detect("sigma", sigma(), tmp_path, capsys)
+
+    def test_detect_varsigma(self, tmp_path, capsys):
+        self._check_detect("varsigma", varsigma(), tmp_path, capsys)
 
 
 class TestEntryPoint:

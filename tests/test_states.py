@@ -19,7 +19,6 @@ from ncorr import (
     StateSpec,
     apply_local_unitaries,
     bell,
-    bell_basis,
     build,
     haar_unitary,
     kappa,
@@ -143,7 +142,16 @@ class TestPhiFamily:
 
 class TestBellDiagonalFamily:
     def test_diagonal_in_the_fixed_basis(self):
-        basis = bell_basis()
+        """The four Bell vectors, ordered to match kappa_eigenvalues, diagonalize kappa."""
+        k0, k1 = ket(0, 2), ket(1, 2)
+        basis = np.column_stack(
+            [
+                (np.kron(k0, k1) - np.kron(k1, k0)) / math.sqrt(2),
+                (np.kron(k0, k0) - np.kron(k1, k1)) / math.sqrt(2),
+                (np.kron(k0, k0) + np.kron(k1, k1)) / math.sqrt(2),
+                (np.kron(k0, k1) + np.kron(k1, k0)) / math.sqrt(2),
+            ]
+        )
         assert_allclose(basis.conj().T @ basis, np.eye(4), atol=1e-12)
         rho = kappa(0.3, 0.2, 0.1)
         rotated = basis.conj().T @ rho.mat @ basis
