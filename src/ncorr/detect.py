@@ -19,8 +19,10 @@ from itertools import combinations
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
+from .errors import DomainError
 from .linalg import DensityMatrix, _blocks, projector
 from .measures import schmidt_decomposition, truncation_measure
+from .spectral import _STACK_ENTRIES
 
 CLASSICAL = "CLASSICAL"
 NONCLASSICAL = "NONCLASSICAL"
@@ -106,6 +108,27 @@ def _certify(
     return TestOutcome(name, "classical", witness, details["classical"], *bases, weights)
 
 
+def _schmidt_forms(vectors: np.ndarray, columns: np.ndarray, dims, tol: Tolerances):
+    """Yield (Schmidt coefficients, first A vector, first B vector) of each listed column, in order.
+
+    The first column runs alone through schmidt_decomposition, so a state whose
+    first eigenvector is entangled builds no stack. The rest are reshaped to
+    (n, dA, dB) and go through np.linalg.svd in stacks of at most _STACK_ENTRIES
+    entries, which gives each matrix the bits of its own call; the generator
+    only computes a stack when the caller asks for one of its columns.
+    """
+    first = schmidt_decomposition(vectors[:, columns[0]], dims, tol)
+    yield first.coefficients, first.vectors_a[:, 0], first.vectors_b[:, 0]
+    step = max(1, _STACK_ENTRIES // dims.total)
+    for lo in range(1, len(columns), step):
+        stack = vectors[:, columns[lo : lo + step]].T.reshape(-1, dims.dA, dims.dB)
+        if not (np.abs(np.linalg.norm(stack, axis=(1, 2)) - 1.0) <= tol.trace).all():  # a NaN norm fails too
+            raise DomainError("an eigenvector's norm is not 1")  # as schmidt_decomposition checks
+        u, s, vh = np.linalg.svd(stack, full_matrices=False)
+        for coefficients, ua, vb in zip(s, u, vh):
+            yield coefficients[coefficients**2 > tol.rank], ua[:, 0], vb[0]
+
+
 def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> TestOutcome:
     """Inspect the eigenvectors of a state whose nonzero spectrum is nondegenerate.
 
@@ -125,16 +148,15 @@ def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TO
     if gap <= tol.deg:
         return TestOutcome(name, "not-applicable", gap, "nonzero spectrum is degenerate")
     factors = []  # (A part, B part) of each nonzero eigenvector
-    for i in nonzero:
-        schmidt = schmidt_decomposition(vectors[:, i], dims, tol)
-        if schmidt.rank >= 2:
+    for i, (coefficients, part_a, part_b) in zip(nonzero, _schmidt_forms(vectors, nonzero, dims, tol)):
+        if len(coefficients) >= 2:
             return TestOutcome(
                 name,
                 "nonclassical",
-                float(schmidt.coefficients[1]),
-                f"eigenvector of eigenvalue {values[i]:.6g} has Schmidt rank {schmidt.rank}",
+                float(coefficients[1]),
+                f"eigenvector of eigenvalue {values[i]:.6g} has Schmidt rank {len(coefficients)}",
             )
-        factors.append((schmidt.vectors_a[:, 0], schmidt.vectors_b[:, 0]))
+        factors.append((part_a, part_b))
     # eigh may mix the eigenvectors of nearby eigenvalues by up to this much (Davis-Kahan sin theta),
     # so an overlap within it of 0 or 1 proves nothing either way. The smallest kept eigenvector
     # also mixes with the null space, so the gap runs down to the largest eigenvalue dropped as zero.

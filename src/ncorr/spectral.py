@@ -4,9 +4,12 @@ A truncated component of a state keeps one eigenvalue's eigenspace and scales
 its projector by the eigenvalue itself: eta * sum_k |v_k><v_k| over the
 eigenspace basis. The component's reduced spectra on each side drive the
 truncation measure; for states with a product eigenbasis every such reduced
-eigenvalue is an integer multiple of eta. The reduced matrices are summed
-from slices of the reshaped eigenvectors, so the d x d projector is never
-formed and a decomposition holds O(d^2) numbers, not O(d^3).
+eigenvalue is an integer multiple of eta. Each side's reduced matrix is one
+product of the reshaped eigenvectors with their adjoint, so the d x d
+projector is never formed and a decomposition holds O(d^2) numbers, not
+O(d^3). decompose stacks the eigenspaces of one multiplicity and makes that
+product, and one eigvalsh, per side and stack of at most _STACK_ENTRIES
+eigenvector entries.
 """
 from __future__ import annotations
 
@@ -17,6 +20,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import MalformedInputError
 from .linalg import DensityMatrix, _as_dims
+
+_STACK_ENTRIES = 1 << 13  # eigenvector entries per stacked product: 128 KiB, so stacks stay O(d^2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,36 +78,51 @@ def cluster_spectrum(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -
     return SpectralDecomposition(clusters=tuple(clusters), dropped=dropped)
 
 
+def _components(clusters, dims, tol: Tolerances) -> list[TruncatedComponent]:
+    """Truncated components of clusters that share one multiplicity m, in their order.
+
+    truncated_component's products and eigvalsh, on stacks of k clusters: t is (k, dA, dB, m).
+    """
+    m = clusters[0].multiplicity
+    step = max(1, _STACK_ENTRIES // (dims.total * m))
+    comps = []
+    for lo in range(0, len(clusters), step):
+        chunk = clusters[lo : lo + step]
+        eta = np.array([c.eta for c in chunk])[:, None, None]
+        t = np.stack([c.vectors for c in chunk]).reshape(len(chunk), dims.dA, dims.dB, m)
+        stacks = (t.reshape(len(chunk), dims.dA, -1), t.transpose(0, 2, 1, 3).reshape(len(chunk), dims.dB, -1))
+        # eigvalsh's values ascend; each row is reversed, so its kept values descend.
+        wa, wb = (np.linalg.eigvalsh(eta * (s @ s.conj().transpose(0, 2, 1)))[:, ::-1] for s in stacks)
+        comps.extend(
+            TruncatedComponent(c.eta, m, a[a > tol.rank], b[b > tol.rank]) for c, a, b in zip(chunk, wa, wb)
+        )
+    return comps
+
+
 def truncated_component(
     cluster: EigenCluster, dims, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> TruncatedComponent:
     """Nonzero reduced spectra of eta * (eigenspace projector).
 
-    With t = vectors reshaped to (dA, dB, m), tr_B(eta V V^dag) is the sum over
-    b of eta * t[:, b] t[:, b]^dag and tr_A the sum over a of eta * t[a] t[a]^dag:
-    one dA x dA or dB x dB product per slice, never a d x d matrix.
+    With t = vectors reshaped to (dA, dB, m), tr_B(eta V V^dag) is eta * T T^dag
+    for T = t.reshape(dA, dB * m), and tr_A the same with the dA and dB axes
+    swapped: one dA x dA or dB x dB product per side, never a d x d matrix. This
+    is decompose's stacked computation on a stack of one, bit for bit.
     """
     dims = _as_dims(dims)
     v = cluster.vectors
     if v.shape[0] != dims.total:
         raise MalformedInputError(f"eigenvector length {v.shape[0]} does not match dims {dims.dA}x{dims.dB}")
-    t = v.reshape(dims.dA, dims.dB, cluster.multiplicity)
-    spectra = []
-    for s in (t.transpose(1, 0, 2), t):
-        # accumulate adds the slices in order, as the dense partial trace did;
-        # sum(axis=0) would add a stack of 1 x 1 slices pairwise instead.
-        reduced = np.add.accumulate(cluster.eta * (s @ s.conj().transpose(0, 2, 1)))[-1]
-        w = np.linalg.eigh(reduced)[0]
-        spectra.append(w[w > tol.rank][::-1])  # eigh's values ascend
-    return TruncatedComponent(
-        eta=cluster.eta,
-        multiplicity=cluster.multiplicity,
-        spectrum_a=spectra[0],
-        spectrum_b=spectra[1],
-    )
+    return _components([cluster], dims, tol)[0]
 
 
 def decompose(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[TruncatedComponent, ...]:
-    """All truncated components of rho, ascending by eta."""
-    decomposition = cluster_spectrum(rho, tol)
-    return tuple(truncated_component(c, rho.dims, tol) for c in decomposition.clusters)
+    """All truncated components of rho, ascending by eta, each multiplicity's computed in stacks."""
+    clusters = cluster_spectrum(rho, tol).clusters
+    by_multiplicity = {}
+    for c in clusters:
+        by_multiplicity.setdefault(c.multiplicity, []).append(c)
+    done = {}  # EigenCluster hashes by identity (eq=False)
+    for group in by_multiplicity.values():
+        done.update(zip(group, _components(group, rho.dims, tol)))
+    return tuple(done[c] for c in clusters)

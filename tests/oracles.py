@@ -296,6 +296,19 @@ def dense_component_spectra(cluster, dims, tol):
     return tuple(spectra)
 
 
+def per_vector_schmidt_forms(vectors, columns, dims, tol):
+    """detect_nondegenerate_global's Schmidt step before it stacked the SVDs:
+    schmidt_decomposition on one eigenvector at a time. Yields what the
+    library's _schmidt_forms yields, (coefficients, first A vector, first B
+    vector) per listed column in order; with it in _schmidt_forms' place the
+    detector must return the same outcome, bit for bit."""
+    from ncorr.measures import schmidt_decomposition
+
+    for vec in vectors[:, columns].T:
+        schmidt = schmidt_decomposition(vec, dims, tol)
+        yield schmidt.coefficients, schmidt.vectors_a[:, 0], schmidt.vectors_b[:, 0]
+
+
 def kron_commutator_norms(rho):
     """detect_commutator's two witnesses before it multiplied on the block
     view: ||[rho, rho_A (x) 1]||_F and ||[rho, 1 (x) rho_B]||_F, each from the

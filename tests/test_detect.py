@@ -141,6 +141,59 @@ class TestGlobalNondegenerate:
         assert "rank-deficient" in out.detail
 
 
+def _entangled_late_state(dims, seed):
+    """A random classical state whose eigenvectors are products except one
+    pair, rotated into (e1 +- e2)/sqrt 2 over two product vectors that differ
+    on both sides: the largest weight's and the largest off its row and
+    column. The smallest weight is neither, so the first nonzero eigenvector
+    is a product and a later one is entangled."""
+    sample = random_classical(dims, seed=seed)
+    weights = sample.weights
+    a1, b1 = np.unravel_index(weights.argmax(), weights.shape)
+    off = np.delete(np.delete(weights, a1, axis=0), b1, axis=1)
+    a2, b2 = np.argwhere(weights == off.max())[0]
+    assert weights.min() < off.max()
+    e1 = np.kron(sample.basis_a[:, a1], sample.basis_b[:, b1])
+    e2 = np.kron(sample.basis_a[:, a2], sample.basis_b[:, b2])
+    w1, w2 = sample.weights[a1, b1], sample.weights[a2, b2]
+    mat = sample.state.mat - w1 * projector(e1) - w2 * projector(e2)
+    mat += w1 * projector((e1 + e2) / np.sqrt(2)) + w2 * projector((e1 - e2) / np.sqrt(2))
+    return DensityMatrix(mat, dims)
+
+
+def _global_cases():
+    yield sigma()
+    yield from (_entangled_late_state(dims, seed) for dims, seed in [((2, 2), 0), ((3, 4), 1), ((12, 12), 2)])
+    for dA, dB in product(range(1, 5), repeat=2):
+        for seed in range(8):
+            yield random_classical((dA, dB), seed=seed).state
+            yield random_density((dA, dB), seed=seed)
+    yield from (random_classical((12, 12), seed=seed).state for seed in range(4))
+    yield random_classical((20, 20), seed=1).state
+
+
+def test_stacked_schmidt_test_equals_the_per_vector_loop(monkeypatch):
+    """The stacked SVDs of the global test give the outcome of
+    oracles.per_vector_schmidt_forms bit for bit: outcome, detail, witness,
+    bases and weights."""
+    import ncorr.detect
+
+    cases = list(_global_cases())
+    stacked = [detect_nondegenerate_global(rho) for rho in cases]
+    monkeypatch.setattr(ncorr.detect, "_schmidt_forms", oracles.per_vector_schmidt_forms)
+    outcomes = set()
+    for rho, got in zip(cases, stacked):
+        want = detect_nondegenerate_global(rho)
+        assert (got.outcome, got.detail, got.witness.hex()) == (want.outcome, want.detail, want.witness.hex())
+        for name in ("basis_a", "basis_b", "weights"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert (g is None and w is None) or g.tobytes() == w.tobytes()
+        outcomes.add((got.outcome, "Schmidt rank" in got.detail))
+    assert {("classical", False), ("nonclassical", True)} <= outcomes
+    late = [detect_nondegenerate_global(rho) for rho in cases[1:4]]
+    assert all(o.outcome == "nonclassical" and "Schmidt rank 2" in o.detail for o in late)
+
+
 class TestLocalBothNondegenerate:
     def test_pure_entangled_fails_diagonalization(self):
         out = detect_local_both_nondegenerate(phi_p(0.3))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ncorr import (
+    DEFAULT_TOLERANCES,
     BipartiteDims,
     DensityMatrix,
     MalformedInputError,
@@ -86,9 +87,44 @@ class TestDensityMatrix:
         with pytest.raises(MalformedInputError, match="not positive semidefinite"):
             DensityMatrix(mat, (2, 2))
 
+    @pytest.mark.parametrize("offset", [2e-11, 1e-12, 0.0, -1e-12])
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_psd_edge_keeps_the_eigvalsh_decision_and_message(self, offset, rotated):
+        """A smallest eigenvalue of -psd + offset: inside, exactly at and outside
+        the edge, the shifted Cholesky and its eigvalsh fallback accept exactly
+        when eigvalsh's smallest value is >= -psd, and reject with its message."""
+        psd = DEFAULT_TOLERANCES.psd
+        mat = np.diag([-psd + offset, 0.25, 0.25, 0.5 + psd - offset])
+        if rotated:
+            h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+            mat = np.kron(h, h) @ mat @ np.kron(h, h)
+        min_eig = float(np.linalg.eigvalsh(np.array(mat, dtype=np.complex128))[0])
+        if not rotated:
+            assert (min_eig < -psd) == (offset < 0)
+        if min_eig < -psd:
+            with pytest.raises(MalformedInputError) as err:
+                DensityMatrix(mat, (2, 2))
+            assert str(err.value) == f"matrix is not positive semidefinite: min eigenvalue {min_eig:.3e}"
+        else:
+            DensityMatrix(mat, (2, 2))
+
+    def test_positive_definite_state_is_validated_by_cholesky_alone(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh ran")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for rho in (random_rho((3, 4), 1), bell(3)):
+            DensityMatrix(rho.mat, rho.dims)
+        with pytest.raises(AssertionError, match="eigvalsh ran"):
+            DensityMatrix(np.diag([0.7, 0.5, -0.1, -0.1]), (2, 2))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
-    def test_rejects_non_finite(self, bad, where):
+    def test_rejects_non_finite(self, bad, where, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cholesky ran")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
         mat = np.eye(4, dtype=complex) / 4
         mat[where] = bad
         mat[where[::-1]] = bad
@@ -173,7 +209,7 @@ class TestCachedEigensystems:
 
     def test_one_partial_transpose_eigvalsh_per_state(self, monkeypatch):
         """M's ppt_min_eig and classify's NPT test share one d x d eigvalsh;
-        validation's own eigvalsh ran when the state was built."""
+        validation ran when the state was built."""
         rho = random_rho((2, 3), 5)
         want = float(np.linalg.eigvalsh(partial_transpose(rho.mat, rho.dims, "B"))[0])
         shapes = []

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
+from ncorr import spectral
 from ncorr import (
     DEFAULT_TOLERANCES,
     DensityMatrix,
@@ -183,17 +184,56 @@ def _cross_check_states():
 
 
 def test_slice_spectra_equal_dense_projector_spectra():
-    """The reduced spectra summed from eigenvector slices equal, bit for bit,
-    those of the dense eta * V V^dag they replaced (tests/oracles.py)."""
+    """The reduced spectra from one product per side match those of the dense
+    eta * V V^dag they replaced (tests/oracles.py). The two add each entry's
+    products in different orders, and eigvalsh is not eigh, so they agree to
+    the bound of the degenerate-eigenspace test below: a few ulps of the
+    quota per dimension."""
+    eps = np.finfo(float).eps
     checked = 0
     for rho in _cross_check_states():
         for cluster in cluster_spectrum(rho).clusters:
             comp = truncated_component(cluster, rho.dims)
+            bound = 4 * rho.dims.total * eps * cluster.eta * cluster.multiplicity
             want_a, want_b = oracles.dense_component_spectra(cluster, rho.dims, DEFAULT_TOLERANCES)
-            assert np.array_equal(comp.spectrum_a, want_a)
-            assert np.array_equal(comp.spectrum_b, want_b)
+            assert_allclose(comp.spectrum_a, want_a, rtol=0, atol=bound)
+            assert_allclose(comp.spectrum_b, want_b, rtol=0, atol=bound)
             checked += 1
     assert checked > 1000
+
+
+def _repeated_spectrum_state(dims, seed):
+    """A state whose eigenvalues repeat one to three times, in random order."""
+    d = dims[0] * dims[1]
+    rng = np.random.default_rng(seed)
+    levels = rng.uniform(1, 2, d)
+    weights = np.repeat(levels, rng.integers(1, 4, d))[:d]
+    rng.shuffle(weights)
+    u = haar_unitary(d, rng)
+    return DensityMatrix((u * (weights / weights.sum())) @ u.conj().T, dims)
+
+
+def test_decompose_equals_truncated_component_per_cluster():
+    """decompose's stacks of one multiplicity give, bit for bit, what
+    truncated_component gives each cluster alone: every shape up to 12,
+    mixed multiplicities, and 12 x 12 and 16 x 16 states whose stacks
+    span several chunks."""
+    states = list(_cross_check_states())
+    states += [_repeated_spectrum_state(dims, seed) for dims in _shapes(12) for seed in (0, 1)]
+    states += [_repeated_spectrum_state((12, 12), 2), random_density((16, 16), seed=1)]
+    chunked = 0
+    for rho in states:
+        clusters = cluster_spectrum(rho).clusters
+        comps = decompose(rho)
+        assert len(comps) == len(clusters)
+        for cluster, comp in zip(clusters, comps):
+            alone = truncated_component(cluster, rho.dims)
+            assert (comp.eta, comp.multiplicity) == (alone.eta, alone.multiplicity)
+            assert comp.spectrum_a.tobytes() == alone.spectrum_a.tobytes()
+            assert comp.spectrum_b.tobytes() == alone.spectrum_b.tobytes()
+        per_m = {m: sum(c.multiplicity == m for c in clusters) for m in {c.multiplicity for c in clusters}}
+        chunked += any(k * rho.dims.total * m > spectral._STACK_ENTRIES for m, k in per_m.items())
+    assert chunked >= 3
 
 
 @pytest.mark.parametrize("dims", _shapes(12))
