@@ -19,6 +19,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import NoReturn
 
 import numpy as np
@@ -38,33 +39,47 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _dump(obj, indent: int) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(f'{pad}  {json.dumps(k)}: {_dump(v, indent + 1)}' for k, v in obj.items())
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
-        if flat:
-            return "[" + ", ".join(_dump(v, indent) for v in obj) + "]"
-        items = ",\n".join(f"{pad}  {_dump(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise MalformedInputError(f"cannot serialize {type(obj).__name__}")
+def _write(obj, pad: str, out: list) -> None:
+    """Append obj's JSON text to out; nested lines are indented by pad plus two spaces."""
+    if obj.__class__ is float and math.isfinite(obj):
+        out.append("%.17g" % obj)  # format_float's text
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))  # json.dumps's text
+    elif isinstance(obj, dict) and obj:
+        inner, sep = pad + "  ", "{\n"
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise MalformedInputError(f"cannot serialize a dict key of type {type(k).__name__}")
+            out.append(f"{sep}{inner}{encode_basestring_ascii(k)}: ")
+            _write(v, inner, out)
+            sep = ",\n"
+        out.append(f"\n{pad}}}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = pad + "  "
+        nested = any(isinstance(v, (dict, list, tuple)) for v in obj)
+        head, sep, tail = ("[\n" + inner, ",\n" + inner, f"\n{pad}]") if nested else ("[", ", ", "]")
+        out.append(head)
+        for v in obj:
+            _write(v, inner, out)
+            out.append(sep)
+        out[-1] = tail
+    elif isinstance(obj, (dict, list, tuple)):
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, bool) or obj is None:
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(format_float(obj))
+    else:
+        raise MalformedInputError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON text with 17-significant-digit floats."""
-    return _dump(obj, 0) + "\n"
+    """Deterministic JSON text with 17-significant-digit floats and string keys."""
+    out: list = []
+    _write(obj, "", out)
+    return "".join(out) + "\n"
 
 
 def state_file_text(state: DensityMatrix) -> str:

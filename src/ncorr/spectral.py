@@ -71,7 +71,7 @@ def cluster_spectrum(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -
     bounds = [0, *(np.flatnonzero(np.diff(values) > tol.deg) + 1).tolist(), len(values)]
     clusters = []
     for lo, hi in zip(bounds, bounds[1:]):
-        eta = float(values[lo:hi].mean())
+        eta = float(values[lo:hi].sum()) / (hi - lo)  # numpy's mean: the sum over the count
         if eta > tol.zero:
             clusters.append(EigenCluster(eta=eta, multiplicity=hi - lo, vectors=vectors[:, lo:hi]))
     dropped = len(values) - sum(c.multiplicity for c in clusters)

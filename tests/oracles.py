@@ -322,15 +322,47 @@ def kron_commutator_norms(rho):
     return tuple(float(np.linalg.norm(mat @ k - k @ mat, "fro")) for k in (kron_a, kron_b))
 
 
+def per_node_dumps(obj):
+    """The report writer before it appended to one list: one recursive call
+    per node, each key and string through json.dumps, each number through
+    format_float. The library's dumps must give the same text and, on a value
+    it cannot write, the same MalformedInputError message. This writer gives
+    a key that is not a string json.dumps's text for it, which is not JSON;
+    the library refuses such a key."""
+    from ncorr.errors import MalformedInputError
+    from ncorr.io import format_float
+
+    def dump(obj, indent):
+        pad = "  " * indent
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            items = ",\n".join(f"{pad}  {json.dumps(k)}: {dump(v, indent + 1)}" for k, v in obj.items())
+            return "{\n" + items + "\n" + pad + "}"
+        if isinstance(obj, (list, tuple)):
+            if all(not isinstance(v, (dict, list, tuple)) for v in obj):
+                return "[" + ", ".join(dump(v, indent) for v in obj) + "]"
+            items = ",\n".join(f"{pad}  {dump(v, indent + 1)}" for v in obj)
+            return "[\n" + items + "\n" + pad + "]"
+        if isinstance(obj, bool) or obj is None:
+            return json.dumps(obj)
+        if isinstance(obj, (int, np.integer)):
+            return str(int(obj))
+        if isinstance(obj, (float, np.floating)):
+            return format_float(obj)
+        if isinstance(obj, str):
+            return json.dumps(obj)
+        raise MalformedInputError(f"cannot serialize {type(obj).__name__}")
+
+    return dump(obj, 0) + "\n"
+
+
 def per_entry_state_file_text(mat, dims):
     """The state-file serializer before it filled one template: a nested list
-    of [re, im] pairs through the library's generic dumps, so each number is
-    rendered by format_float. The library's state_file_text must give the
-    same text."""
-    from ncorr.io import dumps
-
+    of [re, im] pairs through per_node_dumps, so each number is rendered by
+    format_float. The library's state_file_text must give the same text."""
     matrix = [[[z.real, z.imag] for z in row] for row in mat]
-    return dumps({"dims": [dims.dA, dims.dB], "matrix": matrix})
+    return per_node_dumps({"dims": [dims.dA, dims.dB], "matrix": matrix})
 
 
 def per_entry_parse_state_text(text):

@@ -58,7 +58,14 @@ from ncorr.io import (
     write_state_file,
 )
 
-from oracles import G_SIGMA, M_VARSIGMA, m_pure, per_entry_parse_state_text, per_entry_state_file_text
+from oracles import (
+    G_SIGMA,
+    M_VARSIGMA,
+    m_pure,
+    per_entry_parse_state_text,
+    per_entry_state_file_text,
+    per_node_dumps,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -122,6 +129,40 @@ def _bits(a: np.ndarray) -> list:
     return np.ascontiguousarray(a, dtype=np.complex128).view(np.uint64).tolist()
 
 
+_LEAVES = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308])
+    | st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32)
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.integers()
+    | st.booleans()
+    | st.none()
+    | st.text()
+    | st.text(st.characters(codec="ascii", categories=["Cc"]))
+)
+_UNWRITABLE = [math.nan, math.inf, -math.inf, np.float32("nan"), np.float32("inf"), np.float32("-inf"), {1.0}, 1j, np.bool_(True)]
+
+
+def _json_docs(leaves):
+    """JSON-shaped documents: dicts with string keys, lists and tuples, empty ones included."""
+    return st.recursive(
+        leaves,
+        lambda kids: st.lists(kids, max_size=4)
+        | st.lists(kids, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), kids, max_size=4),
+        max_leaves=20,
+    )
+
+
+def _written(writer, doc):
+    """writer's text for doc, or the message of the MalformedInputError it raises."""
+    try:
+        return writer(doc)
+    except MalformedInputError as e:
+        return f"MalformedInputError: {e}"
+
+
 class TestDumps:
     def test_flat_lists_stay_inline(self):
         text = state_file_text(varsigma())
@@ -132,6 +173,31 @@ class TestDumps:
         doc = {"b": [1.0, 2.0], "a": {"nested": [[1.0, 0.0], [0.0, 1.0]]}}
         assert dumps(doc) == dumps(doc)
         assert json.loads(dumps(doc)) == {"b": [1, 2], "a": {"nested": [[1, 0], [0, 1]]}}
+
+    @pytest.mark.parametrize("key, kind", [(1, "int"), (0.5, "float"), (None, "NoneType"), ((1, 2), "tuple")])
+    def test_non_string_key_rejected(self, key, kind):
+        """JSON keys are strings; the per-node writer wrote {1: 2} as 1: 2."""
+        with pytest.raises(MalformedInputError, match=f"cannot serialize a dict key of type {kind}$"):
+            dumps({"ok": [1.0], "nested": {key: 2}})
+
+    @given(_json_docs(_LEAVES))
+    @example({"empty": {}, "none": [], "pair": (), "deep": [[[]], {"k": {}}]})
+    @example([-0.0, 5e-324, 1.7976931348623157e308, np.float32(0.1), np.int64(-(2**63)), True, None])
+    @example({"\x00\x1f\"\\/": "\u00e9\u2028\ud800\U0001f600\x7f"})
+    def test_equals_per_node_writer(self, doc):
+        assert dumps(doc) == per_node_dumps(doc)
+
+    @pytest.mark.parametrize("bad", _UNWRITABLE, ids=repr)
+    def test_refuses_what_the_per_node_writer_refuses(self, bad):
+        """NaN and +-inf of either width, a set, a complex and np.bool_, alone
+        or inside a flat list, a nested list, a tuple or a dict."""
+        for doc in (bad, [1.0, bad], [[bad]], (bad,), {"k": [{"j": (0.5, bad)}]}):
+            assert _written(dumps, doc) == _written(per_node_dumps, doc)
+            assert _written(dumps, doc).startswith("MalformedInputError: cannot serialize")
+
+    @given(_json_docs(_LEAVES | st.sampled_from(_UNWRITABLE)))
+    def test_refuses_the_first_value_the_per_node_writer_refuses(self, doc):
+        assert _written(dumps, doc) == _written(per_node_dumps, doc)
 
 
 # JSON true parses as a Python bool, which is an int subclass: dims checks must exclude it.
@@ -891,6 +957,22 @@ class TestGoldenReports:
     def test_detect_varsigma(self, tmp_path, capsys):
         """Decided by local-one-nondegenerate, so this pins that detector's trail."""
         self._check_detect("varsigma", varsigma(), tmp_path, capsys)
+
+
+_CATALOG = (varsigma, sigma, sigma_prime, sigma_dprime, tau, zeta, zeta_prime, xi, xi_prime)
+_REPORTED = {f.__name__: f for f in _CATALOG} | {f"bell{n}": functools.partial(bell, n) for n in (2, 3, 4)}
+
+
+@pytest.mark.parametrize("argv", [["compute", "--which", "all", "--json"], ["detect", "--json"]], ids=["compute", "detect"])
+@pytest.mark.parametrize("name", _REPORTED)
+def test_cli_json_report_is_the_per_node_writers_text(name, argv, tmp_path, capsys):
+    """The report the CLI prints is, byte for byte, the text the per-node
+    writer gives the same document."""
+    path = _write_state(tmp_path, name, _REPORTED[name]())
+    with mock.patch("ncorr.io.dumps", wraps=dumps) as writer:
+        assert main([argv[0], "--in", path, *argv[1:]]) == 0
+    (call,) = writer.call_args_list
+    assert capsys.readouterr().out == per_node_dumps(*call.args)
 
 
 class TestGoldenText:

@@ -1,7 +1,10 @@
 """Eigenvalue clustering and truncated components."""
+import ast
+import json
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,9 @@ from ncorr import (
     DEFAULT_TOLERANCES,
     DensityMatrix,
     MalformedInputError,
+    StateSpec,
     bell,
+    build,
     cluster_spectrum,
     decompose,
     haar_unitary,
@@ -92,6 +97,24 @@ def test_xi_prime_multiplicities():
     lowest = comps[0]
     assert_allclose(lowest.spectrum_a, [1 / 64] * 4, atol=1e-10)
     assert_allclose(lowest.spectrum_b, [1 / 64] * 4, atol=1e-10)
+
+
+def test_cluster_eta_is_numpys_mean_on_the_benchmark_inputs():
+    """Each cluster's eta is, bit for bit, .mean() of its eigenvalues on every
+    state perfbench/reference.json records (the benchmark's inputs)."""
+    refs = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())["inputs"]
+    shared = 0
+    for key in refs:
+        name, *pairs = key.split(" ")
+        rho = build(StateSpec(name, {k: ast.literal_eval(v) for k, v in (p.split("=", 1) for p in pairs)}))
+        values = rho.eig[0]
+        dec = cluster_spectrum(rho)
+        lo = dec.dropped
+        for c in dec.clusters:
+            assert c.eta.hex() == float(values[lo : lo + c.multiplicity].mean()).hex(), key
+            shared += c.multiplicity > 1
+            lo += c.multiplicity
+    assert len(refs) >= 462 and shared > 100
 
 
 def test_deg_tolerance_merges_near_degenerate_pairs():
