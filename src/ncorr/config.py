@@ -12,7 +12,7 @@ class Tolerances:
     """Named numerical thresholds, each finite and >= 0; every check in the library reads one of these.
 
     herm      max |m - m^dag| entry accepted as Hermitian
-    trace     |tr(rho) - 1| accepted as unit trace, |norm - 1| as a unit vector
+    trace     |tr(rho) - 1| accepted as unit trace; |norm - 1| of a vector given to schmidt_decomposition
     psd       eigenvalues >= -psd accepted as positive semidefinite
     recon     read by no check; kept because every report, the golden files included, prints it
     orth      orthonormality / overlap slack for basis vectors

@@ -19,9 +19,8 @@ from itertools import combinations
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import DomainError
 from .linalg import DensityMatrix, _blocks, projector
-from .measures import schmidt_decomposition, truncation_measure
+from .measures import truncation_measure
 from .spectral import _STACK_ENTRIES
 
 CLASSICAL = "CLASSICAL"
@@ -111,19 +110,14 @@ def _certify(
 def _schmidt_forms(vectors: np.ndarray, columns: np.ndarray, dims, tol: Tolerances):
     """Yield (Schmidt coefficients, first A vector, first B vector) of each listed column, in order.
 
-    The first column runs alone through schmidt_decomposition, so a state whose
-    first eigenvector is entangled builds no stack. The rest are reshaped to
-    (n, dA, dB) and go through np.linalg.svd in stacks of at most _STACK_ENTRIES
-    entries, which gives each matrix the bits of its own call; the generator
-    only computes a stack when the caller asks for one of its columns.
+    One np.linalg.svd per (n, dA, dB) stack of at most _STACK_ENTRIES entries gives each matrix the
+    bits of its own call. The first stack holds one column and a stack is computed only when the
+    caller asks for one of its columns, so an entangled first eigenvector costs one small SVD.
     """
-    first = schmidt_decomposition(vectors[:, columns[0]], dims, tol)
-    yield first.coefficients, first.vectors_a[:, 0], first.vectors_b[:, 0]
     step = max(1, _STACK_ENTRIES // dims.total)
-    for lo in range(1, len(columns), step):
-        stack = vectors[:, columns[lo : lo + step]].T.reshape(-1, dims.dA, dims.dB)
-        if not (np.abs(np.linalg.norm(stack, axis=(1, 2)) - 1.0) <= tol.trace).all():  # a NaN norm fails too
-            raise DomainError("an eigenvector's norm is not 1")  # as schmidt_decomposition checks
+    bounds = [0, *range(1, len(columns), step), len(columns)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        stack = vectors[:, columns[lo:hi]].T.reshape(-1, dims.dA, dims.dB)
         u, s, vh = np.linalg.svd(stack, full_matrices=False)
         for coefficients, ua, vb in zip(s, u, vh):
             yield coefficients[coefficients**2 > tol.rank], ua[:, 0], vb[0]
@@ -144,6 +138,8 @@ def detect_nondegenerate_global(rho: DensityMatrix, tol: Tolerances = DEFAULT_TO
     dims = rho.dims
     values, vectors = rho.eig
     nonzero = np.flatnonzero(values > tol.zero)
+    if not len(nonzero):
+        return TestOutcome(name, "not-applicable", 0.0, "no eigenvalue exceeds tol.zero")
     gap = _min_gap(values[nonzero])
     if gap <= tol.deg:
         return TestOutcome(name, "not-applicable", gap, "nonzero spectrum is degenerate")
@@ -213,12 +209,12 @@ def detect_local_both_nondegenerate(rho: DensityMatrix, tol: Tolerances = DEFAUL
     name = "local-both-nondegenerate"
     wa, va = rho.reduced_eig["A"]
     wb, vb = rho.reduced_eig["B"]
-    gap = min(_min_gap(wa), _min_gap(wb))
-    if gap <= tol.deg:
-        return TestOutcome(name, "not-applicable", gap, "a reduced spectrum is degenerate")
+    gaps = _min_gap(wa), _min_gap(wb)
+    if min(gaps) <= tol.deg:
+        return TestOutcome(name, "not-applicable", min(gaps), "a reduced spectrum is degenerate")
     # eigh's local eigenvectors may be off by up to n eps ||rho_side|| / gap_side each (Davis-Kahan),
     # which can raise the residual by twice ||rho||_F times their sum.
-    slack = sum(len(w) * w[-1] / _min_gap(w) for w in (wa, wb)) * 2 * _EPS * np.linalg.norm(rho.mat)
+    slack = sum(len(w) * w[-1] / g for w, g in zip((wa, wb), gaps)) * 2 * _EPS * np.linalg.norm(rho.mat)
     details = {
         "classical": "product of local eigenbases diagonalizes the state",
         "inconclusive": f"residual lies within the eigenvector error bound {slack:.3g}",

@@ -39,6 +39,10 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _type_name(obj) -> str:
+    return f"{type(obj).__module__}.{type(obj).__name__}".removeprefix("builtins.")  # numpy.bool, not bool
+
+
 def _write(obj, pad: str, out: list) -> None:
     """Append obj's JSON text to out; nested lines are indented by pad plus two spaces."""
     if obj.__class__ is float and math.isfinite(obj):
@@ -49,7 +53,7 @@ def _write(obj, pad: str, out: list) -> None:
         inner, sep = pad + "  ", "{\n"
         for k, v in obj.items():
             if not isinstance(k, str):
-                raise MalformedInputError(f"cannot serialize a dict key of type {type(k).__name__}")
+                raise MalformedInputError(f"cannot serialize a dict key of type {_type_name(k)}")
             out.append(f"{sep}{inner}{encode_basestring_ascii(k)}: ")
             _write(v, inner, out)
             sep = ",\n"
@@ -72,7 +76,7 @@ def _write(obj, pad: str, out: list) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(format_float(obj))
     else:
-        raise MalformedInputError(f"cannot serialize {type(obj).__name__}")
+        raise MalformedInputError(f"cannot serialize {_type_name(obj)}")
 
 
 def dumps(obj) -> str:

@@ -76,8 +76,8 @@ class DensityMatrix:
     ppt_min_eig, the smallest eigenvalue of partial_transpose(mat, dims, "B");
     and _measure_reports, the MeasureReport truncation_measure built for each
     Tolerances. Each is computed on first use and read as it is, with no
-    second Hermiticity check; the arrays are read-only. Validation needs only
-    eigenvalues, so a state that is never analysed pays for no eigenvectors.
+    second Hermiticity check; the arrays are read-only. Validation needs only a
+    Cholesky factor, or eigvalsh where there is none, so it computes no eigenvectors.
     """
 
     mat: np.ndarray

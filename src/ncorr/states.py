@@ -159,8 +159,8 @@ def kappa(c_x: float, c_y: float, c_z: float) -> DensityMatrix:
     keep all four nonnegative.
     """
     evals = kappa_eigenvalues(c_x, c_y, c_z)
-    if min(evals) < -DEFAULT_TOLERANCES.psd:
-        raise DomainError(f"coefficients ({c_x}, {c_y}, {c_z}) give a negative eigenvalue {min(evals)}")
+    if not all(e >= -DEFAULT_TOLERANCES.psd for e in evals):  # a NaN eigenvalue fails too
+        raise DomainError(f"coefficients (c_x, c_y, c_z) = ({c_x}, {c_y}, {c_z}) give a negative eigenvalue or NaN: {evals}")
     mat = np.eye(4, dtype=np.complex128)
     for c, name in ((c_x, "x"), (c_y, "y"), (c_z, "z")):
         mat += c * np.kron(_PAULI[name], _PAULI[name])

@@ -352,7 +352,9 @@ def per_node_dumps(obj):
             return format_float(obj)
         if isinstance(obj, str):
             return json.dumps(obj)
-        raise MalformedInputError(f"cannot serialize {type(obj).__name__}")
+        kind = type(obj)
+        name = kind.__name__ if kind.__module__ == "builtins" else f"{kind.__module__}.{kind.__name__}"
+        raise MalformedInputError(f"cannot serialize {name}")
 
     return dump(obj, 0) + "\n"
 

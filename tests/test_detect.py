@@ -1,4 +1,5 @@
 """Product-eigenbasis detection battery."""
+from dataclasses import fields, replace
 from itertools import combinations, product
 
 import numpy as np
@@ -9,12 +10,14 @@ from numpy.testing import assert_allclose
 
 import oracles
 from ncorr import (
+    CATALOG_NAMES,
     CLASSICAL,
     DEFAULT_TOLERANCES,
     NONCLASSICAL,
     UNKNOWN,
     DensityMatrix,
     StateSpec,
+    Tolerances,
     bell,
     build,
     classify,
@@ -30,9 +33,12 @@ from ncorr import (
     random_density,
     sigma,
     tau,
+    truncation_measure,
     varsigma,
 )
+from ncorr.cli import _detection_section, _measure_section
 from ncorr.detect import _conditional_blocks, _in_product_basis, _joint_eigenbasis
+from ncorr.io import dumps
 
 
 def reconstruct(basis_a, basis_b, weights):
@@ -140,6 +146,11 @@ class TestGlobalNondegenerate:
         assert out.outcome == "inconclusive"
         assert "rank-deficient" in out.detail
 
+    def test_no_eigenvalue_above_the_zero_tolerance_not_applicable(self):
+        """At zero=1 every eigenvalue counts as zero, so no eigenvector is left to inspect."""
+        out = detect_nondegenerate_global(sigma(), replace(DEFAULT_TOLERANCES, zero=1.0))
+        assert (out.outcome, out.witness, out.detail) == ("not-applicable", 0.0, "no eigenvalue exceeds tol.zero")
+
 
 def _entangled_late_state(dims, seed):
     """A random classical state whose eigenvectors are products except one
@@ -192,6 +203,27 @@ def test_stacked_schmidt_test_equals_the_per_vector_loop(monkeypatch):
     assert {("classical", False), ("nonclassical", True)} <= outcomes
     late = [detect_nondegenerate_global(rho) for rho in cases[1:4]]
     assert all(o.outcome == "nonclassical" and "Schmidt rank 2" in o.detail for o in late)
+
+
+def test_svd_stacks_start_with_one_column(monkeypatch):
+    """The first eigenvector's SVD runs alone, so an entangled one ends the test after one small
+    call; the rest go in stacks of _STACK_ENTRIES // d = 20 columns at d = 400."""
+    entangled = random_density((12, 12), seed=0)
+    classical = random_classical((20, 20), seed=1).state
+    assert entangled.eig and classical.eig  # eigh before counting
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert detect_nondegenerate_global(entangled).outcome == "nonclassical"
+    assert shapes == [(1, 12, 12)]
+    shapes.clear()
+    assert detect_nondegenerate_global(classical).outcome == "classical"
+    assert shapes == [(1, 20, 20)] + [(20, 20, 20)] * 19 + [(19, 20, 20)]
 
 
 class TestLocalBothNondegenerate:
@@ -477,6 +509,41 @@ def test_classical_witness_convention(rho):
             assert out.witness == max(float(np.linalg.norm(a @ b - b @ a)) for a, b in combinations(blocks, 2))
         else:
             assert out.witness == _in_product_basis(rho.mat, out.basis_a, out.basis_b)[1]
+
+
+def _edge_states():
+    yield from (build(StateSpec(name)) for name in CATALOG_NAMES[:9])  # the parameterless ones
+    yield from (bell(2), phi_p(0.3), kappa(0, 0, 0))
+    for dims in product(range(1, 4), repeat=2):
+        yield from (random_density(dims, seed=1), random_density(dims, rank=1, seed=1))
+        yield random_classical(dims, seed=1).state
+
+
+def _trail(verdict):
+    """Everything classify reports, with each witness as its exact bits."""
+    outcomes = [(o.test, o.outcome, o.detail, float(o.witness).hex()) for o in verdict.evidence]
+    bases = [b if b is None else b.tobytes() for b in (verdict.basis_a, verdict.basis_b, verdict.weights)]
+    return verdict.verdict, verdict.decided_by, outcomes, bases
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(Tolerances)])
+def test_every_tolerance_edge_returns_and_serializes(field):
+    """Each field at 0, the smallest subnormal, 1e-16, 0.5, 1 and 1e300: classify and
+    truncation_measure return, and the CLI's measure and detection sections serialize."""
+    for value in (0.0, 5e-324, 1e-16, 0.5, 1.0, 1e300):
+        tol = replace(DEFAULT_TOLERANCES, **{field: value})
+        for rho in _edge_states():
+            sections = {"measure": _measure_section(truncation_measure(rho, tol))}
+            sections["detection"] = _detection_section(classify(rho, tol))
+            assert dumps(sections)
+
+
+def test_classify_does_not_read_the_trace_tolerance():
+    """eigh's eigenvectors are unit only to rounding, and the Schmidt test checks no norm:
+    trace = 0 leaves every trail as it is."""
+    strict = replace(DEFAULT_TOLERANCES, trace=0.0)
+    for rho in (*_edge_states(), *list(_global_cases())[:-5]):  # all but the 12x12 and 20x20 classical states
+        assert _trail(classify(rho, strict)) == _trail(classify(rho))
 
 
 _KAPPA_LEVELS = (-0.3, -0.15, 0.0, 0.15, 0.3)

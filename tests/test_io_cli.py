@@ -174,11 +174,19 @@ class TestDumps:
         assert dumps(doc) == dumps(doc)
         assert json.loads(dumps(doc)) == {"b": [1, 2], "a": {"nested": [[1, 0], [0, 1]]}}
 
-    @pytest.mark.parametrize("key, kind", [(1, "int"), (0.5, "float"), (None, "NoneType"), ((1, 2), "tuple")])
+    @pytest.mark.parametrize(
+        "key, kind",
+        [(1, "int"), (0.5, "float"), (None, "NoneType"), ((1, 2), "tuple"), (np.bool_(True), r"numpy\.bool_?")],
+    )
     def test_non_string_key_rejected(self, key, kind):
         """JSON keys are strings; the per-node writer wrote {1: 2} as 1: 2."""
         with pytest.raises(MalformedInputError, match=f"cannot serialize a dict key of type {kind}$"):
             dumps({"ok": [1.0], "nested": {key: 2}})
+
+    def test_numpy_types_are_named_with_their_module(self):
+        """numpy 2 names np.bool_ bool; the message must not read as if a Python bool were refused."""
+        with pytest.raises(MalformedInputError, match=r"cannot serialize numpy\.bool_?$"):
+            dumps([1.0, np.bool_(True)])
 
     @given(_json_docs(_LEAVES))
     @example({"empty": {}, "none": [], "pair": (), "deep": [[[]], {"k": {}}]})
@@ -581,6 +589,7 @@ class TestCliRejections:
             (_SWEEP + ["--seed", "1"], "unrecognized arguments: --seed"),
             (["state", "--name", "random", "--param", "dA=2", "--param", "dA=3", "--seed", "1"], "--param dA is given twice"),
             (_SWEEP + ["--param", "c_y=0.1", "--param", "c_y=0.2"], "--param c_y is given twice"),
+            (["state", "--name", "kappa", "--param", "c_x=nan"], "(c_x, c_y, c_z) = (nan, 0.0, 0.0)"),
         ],
     )
     def test_exits_2(self, capsys, argv, message):

@@ -179,6 +179,12 @@ class TestBellDiagonalFamily:
         with pytest.raises(DomainError, match="negative eigenvalue"):
             kappa(*coefficients)
 
+    @pytest.mark.parametrize("coefficients", [(math.nan, 0, 0), (0, math.nan, 0), (0, 0, math.nan)])
+    def test_rejects_a_nan_coefficient_by_name(self, coefficients):
+        """NaN fails every comparison, so the positivity check is written to let none through."""
+        with pytest.raises(DomainError, match=r"\(c_x, c_y, c_z\) = \(.*nan.*\) give a negative eigenvalue or NaN"):
+            kappa(*coefficients)
+
     def test_pure_corner_case(self):
         """c = (1, -1, 1) is a maximally entangled vector, not a mixture."""
         rho = kappa(1.0, -1.0, 1.0)
