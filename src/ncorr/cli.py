@@ -141,11 +141,11 @@ def _emit(args, state: DensityMatrix, tol: Tolerances, lines: list[str], kind: s
 def cmd_compute(args) -> int:
     tol = _tolerances(args)
     state = read_state_file(args.infile)
+    # G before M, so that G's guard refuses before M's work is done; the section still lists M's fields first.
+    sides = [partition_discrepancy(state, s, args.max_partition_dim) for s in "AB"] if args.which in ("G", "all") else []
     section = _measure_section(truncation_measure(state, tol)) if args.which in ("M", "all") else {}
-    if args.which in ("G", "all"):
-        f_a = partition_discrepancy(state, "A", args.max_partition_dim)
-        f_b = partition_discrepancy(state, "B", args.max_partition_dim)
-        section.update(G=max(f_a, f_b), F_A=f_a, F_B=f_b)
+    if sides:
+        section.update(G=max(sides), F_A=sides[0], F_B=sides[1])
     lines = []
     for key, value in section.items():
         if key == "per_component":
@@ -169,7 +169,7 @@ def _detection_section(verdict: DetectionVerdict) -> dict:
     if verdict.basis_a is not None:
         section["basis_A"] = matrix_as_pairs(verdict.basis_a)
         section["basis_B"] = matrix_as_pairs(verdict.basis_b)
-        section["weights"] = [[float(w) for w in row] for row in verdict.weights]
+        section["weights"] = verdict.weights.tolist()
     return section
 
 
@@ -198,12 +198,14 @@ def run_sweep(
 ) -> list[tuple[float, float, float]]:
     """Rows (parameter value, measure, reduced-state entropy) over a linear grid."""
     _check_count(steps, "steps")
+    if not np.isfinite(float(stop) - float(start)):  # an infinite, NaN or overflowing range
+        raise DomainError(f"sweep start and stop must be finite with a finite span, got {start!r} and {stop!r}")
     if family not in _SWEEP_DEFAULT_PARAM:
         raise MalformedInputError(f"unknown sweep family {family!r}")
     param = sweep_param or _SWEEP_DEFAULT_PARAM[family]
     if param in (fixed or {}):
         raise MalformedInputError(f"--param {param} is the swept parameter")
-    values = np.linspace(start, stop, steps) if steps > 1 else np.array([start])
+    values = np.linspace(start, stop, steps)
     rows = []
     for value in values:
         params = dict(fixed or {})

@@ -270,9 +270,11 @@ def partition_discrepancy(
     n_groups, group_size = (dims.dA, dims.dB) if side == "A" else (dims.dB, dims.dA)
     if d > max_dim:
         formula = "(d^A d^B)!/((d^B!)^(d^A) d^A!)" if side == "A" else "(d^A d^B)!/((d^A!)^(d^B) d^B!)"
+        count = _partition_count(n_groups, group_size)  # str() refuses past sys.get_int_max_str_digits() digits
+        shown = count if count < 10**20 else f"about 10^{math.log10(count):.1f}"
         raise CapabilityError(
             f"total dimension {d} exceeds the guard limit {max_dim}: the side-{side} partition "
-            f"search scores {formula} groupings, here {_partition_count(n_groups, group_size)}"
+            f"search scores {formula} groupings, here {shown}"
         )
     return mimic_discrepancy(rho.eig.values, rho.reduced_eig[side].values, n_groups, group_size)
 

@@ -7,8 +7,8 @@ truncation measure; for states with a product eigenbasis every such reduced
 eigenvalue is an integer multiple of eta. Each side's reduced matrix is one
 product of the reshaped eigenvectors with their adjoint, so the d x d
 projector is never formed and a decomposition holds O(d^2) numbers, not
-O(d^3). decompose stacks the eigenspaces of one multiplicity and makes that
-product, and one eigvalsh, per side and stack of at most _STACK_ENTRIES
+O(d^3). _components stacks the eigenspaces of each multiplicity and makes
+that product, and one eigvalsh, per side and stack of at most _STACK_ENTRIES
 eigenvector entries.
 """
 from __future__ import annotations
@@ -79,23 +79,24 @@ def cluster_spectrum(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -
 
 
 def _components(clusters, dims, tol: Tolerances) -> list[TruncatedComponent]:
-    """Truncated components of clusters that share one multiplicity m, in their order.
+    """Truncated components of clusters of any multiplicities, in their order.
 
-    truncated_component's products and eigvalsh, on stacks of k clusters: t is (k, dA, dB, m).
+    truncated_component's products and eigvalsh, on stacks of k clusters of one multiplicity m: t is (k, dA, dB, m).
     """
-    m = clusters[0].multiplicity
-    step = max(1, _STACK_ENTRIES // (dims.total * m))
-    comps = []
-    for lo in range(0, len(clusters), step):
-        chunk = clusters[lo : lo + step]
-        eta = np.array([c.eta for c in chunk])[:, None, None]
-        t = np.stack([c.vectors for c in chunk]).reshape(len(chunk), dims.dA, dims.dB, m)
-        stacks = (t.reshape(len(chunk), dims.dA, -1), t.transpose(0, 2, 1, 3).reshape(len(chunk), dims.dB, -1))
-        # eigvalsh's values ascend; each row is reversed, so its kept values descend.
-        wa, wb = (np.linalg.eigvalsh(eta * (s @ s.conj().transpose(0, 2, 1)))[:, ::-1] for s in stacks)
-        comps.extend(
-            TruncatedComponent(c.eta, m, a[a > tol.rank], b[b > tol.rank]) for c, a, b in zip(chunk, wa, wb)
-        )
+    comps = [None] * len(clusters)
+    for m in dict.fromkeys(c.multiplicity for c in clusters):
+        group = [i for i, c in enumerate(clusters) if c.multiplicity == m]
+        step = max(1, _STACK_ENTRIES // (dims.total * m))
+        for lo in range(0, len(group), step):
+            where = group[lo : lo + step]
+            chunk = [clusters[i] for i in where]
+            eta = np.array([c.eta for c in chunk])[:, None, None]
+            t = np.stack([c.vectors for c in chunk]).reshape(len(chunk), dims.dA, dims.dB, m)
+            stacks = (t.reshape(len(chunk), dims.dA, -1), t.transpose(0, 2, 1, 3).reshape(len(chunk), dims.dB, -1))
+            # eigvalsh's values ascend; each row is reversed, so its kept values descend.
+            wa, wb = (np.linalg.eigvalsh(eta * (s @ s.conj().transpose(0, 2, 1)))[:, ::-1] for s in stacks)
+            for i, c, a, b in zip(where, chunk, wa, wb):
+                comps[i] = TruncatedComponent(c.eta, m, a[a > tol.rank], b[b > tol.rank])
     return comps
 
 
@@ -118,11 +119,4 @@ def truncated_component(
 
 def decompose(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[TruncatedComponent, ...]:
     """All truncated components of rho, ascending by eta, each multiplicity's computed in stacks."""
-    clusters = cluster_spectrum(rho, tol).clusters
-    by_multiplicity = {}
-    for c in clusters:
-        by_multiplicity.setdefault(c.multiplicity, []).append(c)
-    done = {}  # EigenCluster hashes by identity (eq=False)
-    for group in by_multiplicity.values():
-        done.update(zip(group, _components(group, rho.dims, tol)))
-    return tuple(done[c] for c in clusters)
+    return tuple(_components(cluster_spectrum(rho, tol).clusters, rho.dims, tol))

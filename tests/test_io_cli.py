@@ -11,6 +11,7 @@ import inspect
 import json
 import math
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -756,6 +757,28 @@ class TestCliCompute:
         assert str(count) in err
         assert "guard limit 16" in err
 
+    def test_partition_guard_exits_3_past_the_int_digit_limit(self, tmp_path, capsys):
+        """The 24x24 count has 747 digits: it is printed as a power of ten, in a short message."""
+        path = _write_state(tmp_path, "diag24", DensityMatrix(np.eye(576) / 576, (24, 24)))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert main(["compute", "--in", path, "--which", "G"]) == 3
+        finally:
+            sys.set_int_max_str_digits(limit)
+        err = capsys.readouterr().err
+        assert err.endswith("groupings, here about 10^746.8\n")
+        assert len(err) < 200
+
+    def test_which_all_refuses_before_computing_m(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("M was computed before G's guard refused")
+
+        monkeypatch.setattr(ncorr.cli, "truncation_measure", refuse)
+        path = _write_state(tmp_path, "big", random_density((5, 5), seed=3))
+        assert main(["compute", "--in", path, "--which", "all"]) == 3
+        assert "guard limit 16" in capsys.readouterr().err
+
     def test_partition_guard_default_is_the_library_default(self):
         parsed = _build_parser().parse_args(["compute", "--in", "x.json"]).max_partition_dim
         for fn in (partition_discrepancy, partition_measure):
@@ -889,6 +912,24 @@ class TestCliSweep:
     def test_run_sweep_takes_an_integer_step_count(self, steps):
         with pytest.raises(ncorr.DomainError, match="steps must be an integer"):
             run_sweep("phi_p", 0.0, 1.0, steps)
+
+    @pytest.mark.parametrize(
+        "start,stop", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan), (-1e308, 1e308)]
+    )
+    def test_run_sweep_rejects_a_non_finite_range(self, start, stop):
+        with pytest.raises(ncorr.DomainError, match="must be finite with a finite span"):
+            run_sweep("kappa", start, stop, 3)
+
+    def test_infinite_bound_exits_2_without_a_warning(self, capsys):
+        """filterwarnings = error turns linspace's RuntimeWarning into a raise that main does not catch."""
+        argv = ["sweep", "--family", "kappa", "--start", "0", "--stop", "inf", "--steps", "3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sweep start and stop must be finite with a finite span, got 0.0 and inf\n"
+
+    def test_one_step_is_the_start(self):
+        assert [row[0] for row in run_sweep("phi_p", 0.25, 1.0, 1)] == [0.25]
 
     def test_run_sweep_rejects_unknown_family(self):
         with pytest.raises(MalformedInputError, match="family"):
@@ -1056,3 +1097,22 @@ class TestEntryPoint:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+
+class TestCatalogScript:
+    SCRIPT = Path(__file__).parents[1] / "scripts" / "reproduce_catalog.py"
+
+    def test_default_run_is_the_golden_table_without_the_4x4_g(self, monkeypatch, capsys):
+        """The default run skips G where d = 16: in zeta, zeta_prime, xi, xi_prime and bell(4) the G
+        column reads '-'. Every other byte is the golden table's, which --full reproduces whole."""
+        monkeypatch.setattr(sys, "argv", [str(self.SCRIPT)])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_path(str(self.SCRIPT), run_name="__main__")
+        assert done.value.code == 0
+        header, rule, *rows = (DATA_DIR / "catalog_table.txt").read_text().splitlines()
+        g_end = header.index(" G ") + 2
+        skipped = {"zeta", "zeta_prime", "xi", "xi_prime", "bell(4)"}
+        want = [header, rule] + [
+            row[: g_end - 10] + f"{'-':>10}" + row[g_end:] if row.split()[0] in skipped else row for row in rows
+        ]
+        assert capsys.readouterr().out.splitlines() == want

@@ -1,6 +1,7 @@
 """Truncation measure, partition measure, and the scalar helpers under them."""
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -302,6 +303,18 @@ class TestPartitionMeasure:
             assert formula in msg
             assert f"here {expected_count}" in msg
             assert "guard limit 16" in msg
+
+    def test_guard_prints_a_long_count_as_a_power_of_ten(self):
+        """The 24x24 count has 747 digits, past the lowest limit str() accepts for an int."""
+        rho = DensityMatrix(np.eye(576) / 576, (24, 24))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for side in "AB":
+                with pytest.raises(CapabilityError, match=r"groupings, here about 10\^746\.8$"):
+                    partition_discrepancy(rho, side)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_guard_limit_is_adjustable(self):
         rho = random_density((2, 2), seed=1)
