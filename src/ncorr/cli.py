@@ -17,7 +17,7 @@ from . import __version__
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .detect import DetectionVerdict, classify
 from .errors import CapabilityError, DomainError, MalformedInputError
-from .io import Report, format_float, matrix_as_pairs, read_state_file, state_file_text, write_state_file
+from .io import Report, _state_chunks, format_float, matrix_as_pairs, read_state_file, write_state_file
 from .linalg import DensityMatrix
 from .measures import MAX_PARTITION_DIM, MeasureReport, _check_count, partition_discrepancy, truncation_measure
 from .states import StateSpec, build, random_density
@@ -102,7 +102,7 @@ def cmd_state(args) -> int:
     if args.out:
         write_state_file(args.out, state)
     else:
-        sys.stdout.write(state_file_text(state))
+        sys.stdout.writelines(_state_chunks(state.mat, state.dims))
     return 0
 
 

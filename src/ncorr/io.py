@@ -5,13 +5,15 @@ numbers in files, reports and CSV output are rendered with 17 significant
 digits so a parsed value is bit-identical to the emitted one. The one
 exception is -0.0: it is written "-0", which JSON reads as the integer 0.
 
-A state file is written one matrix row at a time, so a large state never
-holds a Python float for every entry at once. A text in the writer's exact
-layout (header, row separators and trailer as written, dims of at most nine
-digits) whose matrix holds more than _BLOCK [re, im] pairs is read back one
-row at a time, each row decoded by json itself, so it never becomes one JSON
-tree either. Every other text goes through one json.loads of the whole text,
-which also words every error message.
+A state file is written one matrix row at a time, straight to its stream,
+so neither a Python float per entry nor the whole text is held at once. A
+text in the writer's exact layout (dims of at most nine digits) whose matrix
+holds more than _BLOCK [re, im] pairs is read back in blocks of about
+_BLOCK // 4 pairs, each checked against the writer's layout and its numbers
+read by one json.loads as a flat list (_read_blocks), so it never becomes
+one JSON tree. Every other text, and every text a block declines, goes
+through one json.loads of the whole text, which reads JSON's number grammar
+and words every error message.
 """
 from __future__ import annotations
 
@@ -27,7 +29,9 @@ import numpy as np
 from .errors import MalformedInputError
 from .linalg import BipartiteDims, DensityMatrix
 
-# A matrix of more [re, im] pairs than this is read row by row; json.loads is faster on smaller files.
+# A matrix of more [re, im] pairs than this is read in blocks of about a quarter as many, which take a
+# quarter of the memory of blocks this large and read no slower; json.loads of the whole text is faster
+# on smaller files.
 _BLOCK = 1 << 12
 
 
@@ -88,39 +92,43 @@ def dumps(obj) -> str:
 
 def state_file_text(state: DensityMatrix) -> str:
     """Serialize a state to the on-disk JSON schema."""
-    return _state_text(state.mat, state.dims)
+    return "".join(_state_chunks(state.mat, state.dims))
 
 
 # The state file layout up to the first row (which _read_blocks matches),
-# between two rows, and after the last row.
+# between two rows, at the end of each row, and after the last row.
 _HEAD = re.compile(r'\{\n  "dims": \[([1-9][0-9]{0,8}), ([1-9][0-9]{0,8})\],\n  "matrix": \[\n    ')
 _ROW_SEP = ",\n    "
+_ROW_END = "\n    ]"
 _TAIL = "\n  ]\n}\n"
 
 
-def _state_text(mat: np.ndarray, dims: BipartiteDims) -> str:
+def _state_chunks(mat: np.ndarray, dims: BipartiteDims):
     """The text dumps gives for {"dims": ..., "matrix": [re, im] pairs of mat},
-    filled one row at a time, with one % operation per row. %.17g renders a
-    double as format_float does; mat must be finite, as a validated state is,
-    since nothing here checks."""
+    yielded as its head, each row, the separator after each row and its tail;
+    each row is filled with one % operation. %.17g renders a double as
+    format_float does; mat must be finite, as a validated state is, since
+    nothing here checks."""
     d = dims.total
     pairs = np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64).reshape(d, 2 * d)
-    row = "[\n" + ",\n".join(["      [%.17g, %.17g]"] * d) + "\n    ]"
-    body = _ROW_SEP.join([row % tuple(r.tolist()) for r in pairs])
-    return f'{{\n  "dims": [{dims.dA}, {dims.dB}],\n  "matrix": [\n    {body}{_TAIL}'
+    row = "[\n" + ",\n".join(["      [%.17g, %.17g]"] * d) + _ROW_END
+    yield f'{{\n  "dims": [{dims.dA}, {dims.dB}],\n  "matrix": [\n    '
+    for i, r in enumerate(pairs):
+        yield row % tuple(r.tolist())
+        yield _ROW_SEP if i + 1 < d else _TAIL
 
 
 def write_state_file(path: str, state: DensityMatrix) -> None:
     with open(path, "w", newline="\n") as fp:
-        fp.write(state_file_text(state))
+        fp.writelines(_state_chunks(state.mat, state.dims))
 
 
 def parse_state_text(text: str) -> DensityMatrix:
     """Parse and validate the state file schema, then the physics."""
     # A matrix of more than _BLOCK pairs takes more than 6 * _BLOCK characters.
-    by_rows = _read_blocks(text) if len(text) > 6 * _BLOCK else None
-    if by_rows is not None:
-        return DensityMatrix(*by_rows)
+    by_blocks = _read_blocks(text) if len(text) > 6 * _BLOCK else None
+    if by_blocks is not None:
+        return DensityMatrix(*by_blocks)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -149,58 +157,78 @@ def parse_state_text(text: str) -> DensityMatrix:
     return DensityMatrix(_matrix_from_rows(rows, d), dims)
 
 
+# The characters of JSON numbers, whose deletion leaves a block's layout; brackets to blanks, which leaves
+# its numbers as one flat list; and the byte values of "[", "," and "]".
+_NUMBER_CHARS = b"0123456789+-.eE"
+_BLANK_BRACKETS = str.maketrans("[]", "  ")
+_OPEN, _COMMA, _CLOSE = b"[,]"
+
+
 def _read_blocks(text: str) -> tuple[np.ndarray, BipartiteDims] | None:
-    """The matrix and dims of a text in _state_text's layout whose matrix holds
-    more than _BLOCK pairs, read one row at a time: json decodes each row, and
-    each row passes _pairs' check into one preallocated array. None sends the
-    text down the whole-text path. A valid text has at least 6 characters per
-    pair, so a shorter one gets no array."""
+    """The matrix and dims of a text in _state_chunks' layout whose matrix
+    holds more than _BLOCK pairs, read in blocks of whole rows of about
+    _BLOCK // 4 pairs into one array, or None for the whole-text path. A valid
+    text has at least 6 characters per pair, so a shorter one gets no array.
+
+    A block passes when deleting its number characters leaves the writer's
+    brackets, commas and whitespace, and no pair slot is empty ("[," or
+    ", ]"). Then each comma-separated slot of the block, brackets blanked,
+    holds one run of number characters, the pair's, or two that json rejects,
+    so one json.loads reads the block's numbers as a flat list. An integer
+    too large for a double fails their assignment to the array."""
     head = _HEAD.match(text)
-    if head is None:
+    if head is None or not text.endswith(_TAIL):
         return None
     dims = BipartiteDims(int(head[1]), int(head[2]))
     d = dims.total
     if not _BLOCK < d * d <= len(text) // 6:
         return None
+    row = ("[\n" + ",\n".join(["      [, ]"] * d) + _ROW_END).encode()  # a row without its numbers
+    sep = _ROW_SEP.encode()
+    span = len(text) // d * (_BLOCK // 4) // d  # the characters of about _BLOCK // 4 pairs
+    stop = len(text) - len(_TAIL)  # where the last row ends
+    out = np.empty(2 * d * d)
     pos = head.end()
-    decode = json.JSONDecoder().raw_decode
-    out = np.empty((d, d, 2))
-    for i in range(d):
+    done = 0  # numbers read
+    while done < len(out):
+        end = text.find(_ROW_END, pos + span, stop)
+        end = stop if end < 0 else end + len(_ROW_END)
+        block = text[pos:end]
+        raw = block.encode("ascii", "replace")
+        skeleton = raw.translate(None, _NUMBER_CHARS)
+        rows = (len(skeleton) + len(sep)) // (len(row) + len(sep))
+        if skeleton != sep.join([row] * rows):
+            return None
+        # "[," or, the layout being the writer's, a comma two places before "]": numpy's compares
+        # find these common characters several times faster than str.find.
+        a = np.frombuffer(raw, np.uint8)
+        if ((a[:-1] == _OPEN) & (a[1:] == _COMMA)).any() or ((a[:-2] == _COMMA) & (a[2:] == _CLOSE)).any():
+            return None
         try:
-            row, pos = decode(text, pos)
-        except (ValueError, RecursionError):
+            out[done : done + 2 * d * rows] = json.loads("[" + block.translate(_BLANK_BRACKETS) + "]")
+        except (ValueError, OverflowError):
             return None
-        pairs = _pairs(row, (d, 2))
-        after = _ROW_SEP if i + 1 < d else _TAIL
-        if pairs is None or not text.startswith(after, pos):
+        done += 2 * d * rows
+        pos = end + len(_ROW_SEP)
+        if done < len(out) and not text.startswith(_ROW_SEP, end):
             return None
-        out[i] = pairs
-        pos += len(after)
-    if pos != len(text):
+    if end != stop:
         return None
-    return out.view(np.complex128)[..., 0], dims
-
-
-def _pairs(rows: list, shape: tuple) -> np.ndarray | None:
-    """rows as a float64 array of the given shape, converted in one pass, or
-    None. JSON numbers arrive as int or float; bool, None, strings, lists
-    nested too deep or too shallow and integers too large for a double fail."""
-    try:
-        arr = np.array(rows, dtype=object)
-        if arr.shape == shape and set(map(type, arr.flat)) <= {int, float}:
-            return arr.astype(np.float64)
-    except (ValueError, OverflowError):
-        pass
-    return None
+    return out.view(np.complex128).reshape(d, d), dims
 
 
 def _matrix_from_rows(rows: list, d: int) -> np.ndarray:
     """The d x d complex matrix of d rows of [re, im] pairs, converted in one
-    pass; a malformed row or entry is named by _reject_rows."""
-    pairs = _pairs(rows, (d, d, 2))
-    if pairs is None:
-        _reject_rows(rows, d)
-    return pairs.view(np.complex128)[..., 0]
+    pass; a malformed row or entry is named by _reject_rows. JSON numbers
+    arrive as int or float; bool, None, strings, lists nested too deep or too
+    shallow and integers too large for a double fail the pass."""
+    try:
+        arr = np.array(rows, dtype=object)
+        if arr.shape == (d, d, 2) and set(map(type, arr.flat)) <= {int, float}:
+            return arr.astype(np.float64).view(np.complex128)[..., 0]
+    except (ValueError, OverflowError):
+        pass
+    _reject_rows(rows, d)
 
 
 def _reject_rows(rows: list, d: int) -> NoReturn:

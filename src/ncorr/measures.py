@@ -81,9 +81,26 @@ def truncation_measure_side(
     for comp in components:
         # Python floats: the same bits as numpy scalars, at less cost per entry.
         spectrum = (comp.spectrum_a if side == "A" else comp.spectrum_b).tolist()
-        quota = comp.eta * comp.multiplicity
-        predicted = [nearest_integer_multiple(lam, comp.eta, tol.tie) for lam in spectrum]
-        contribs.append(math.fsum(surprisal_term(x, y, quota) for x, y in zip(spectrum, predicted)))
+        eta = comp.eta
+        quota = eta * comp.multiplicity
+        terms = []
+        # nearest_integer_multiple and surprisal_term inline: the same operations in the same order, with
+        # their checks of eta and the quota made once. With 3 * quota finite, every multiple (at most
+        # x + eta) is finite, so only x is checked per entry. A component that fails a check goes through
+        # both functions, which raise its DomainError, if it has one, as they always did.
+        if eta > 0 and 3 * quota < math.inf:
+            cap, half, tie = quota * (1 + _QUOTA_SLACK), eta / 2, tol.tie * eta
+            for x in spectrum:
+                if not 0 < x <= cap:
+                    break
+                q = math.floor(x / eta)
+                rem = x - q * eta
+                y = q * eta if abs(rem - half) <= tie or rem <= eta - rem else (q + 1) * eta
+                terms.append(max(0.0, -abs(x - y) * math.log2(x / quota)))
+        if len(terms) < len(spectrum):
+            predicted = [nearest_integer_multiple(lam, eta, tol.tie) for lam in spectrum]
+            terms = [surprisal_term(x, y, quota) for x, y in zip(spectrum, predicted)]
+        contribs.append(math.fsum(terms))
     return math.fsum(contribs), tuple(contribs)
 
 

@@ -322,6 +322,37 @@ def kron_commutator_norms(rho):
     return tuple(float(np.linalg.norm(mat @ k - k @ mat, "fro")) for k in (kron_a, kron_b))
 
 
+def per_entry_measure_side(components, side, tie=1e-9):
+    """truncation_measure_side before it scored each entry inline: per
+    component, nearest_integer_multiple on every entry, then surprisal_term on
+    every entry, each checking its own arguments. The library's total and
+    every contribution must equal it by float.hex and, on an entry out of
+    domain, raise its DomainError with the same message. tie is
+    Tolerances.tie, whose default it repeats."""
+    from ncorr.measures import nearest_integer_multiple, surprisal_term
+
+    contribs = []
+    for comp in components:
+        spectrum = comp.spectrum_a if side == "A" else comp.spectrum_b
+        quota = comp.eta * comp.multiplicity
+        predicted = [nearest_integer_multiple(float(lam), comp.eta, tie) for lam in spectrum]
+        contribs.append(math.fsum(surprisal_term(float(x), y, quota) for x, y in zip(spectrum, predicted)))
+    return math.fsum(contribs), tuple(contribs)
+
+
+def kron_product_basis(mat, basis_a, basis_b):
+    """detect._in_product_basis before it rotated by mode products: the d x d
+    U = kron(basis_a, basis_b) and both d x d x d products U^dag mat U. Returns
+    the (ka, kb) weights, the diagonal, and the residual, the Frobenius norm of
+    the rest. The library must agree with both to within a few d^1.5 eps
+    ||mat||_F; it rotates each index of mat by its own side's basis."""
+    u = np.kron(basis_a, basis_b)
+    rotated = u.conj().T @ mat @ u
+    diagonal = np.diagonal(rotated)
+    residual = float(np.linalg.norm(rotated - np.diag(diagonal), "fro"))
+    return diagonal.real.reshape(basis_a.shape[1], basis_b.shape[1]), residual
+
+
 def per_node_dumps(obj):
     """The report writer before it appended to one list: one recursive call
     per node, each key and string through json.dumps, each number through

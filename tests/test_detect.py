@@ -26,6 +26,7 @@ from ncorr import (
     detect_local_one_nondegenerate,
     detect_nondegenerate_global,
     detect_npt,
+    haar_unitary,
     kappa,
     phi_p,
     projector,
@@ -401,6 +402,43 @@ def test_commutator_matches_kron_oracle(dA, dB, seed):
             assert out.outcome == ("nonclassical" if max(ca, cb) > tol.comm else "inconclusive")
         if out.outcome == "nonclassical" and abs(ca - cb) > ba + bb:
             assert out.detail.endswith(f"reduced state {'A' if ca > cb else 'B'} (x) identity")
+
+
+def product_basis_bound(rho):
+    """The largest gap allowed between _in_product_basis and the Kronecker oracle, per weight and in the residual.
+
+    Both rotate rho by orthonormal bases, which keep Frobenius norms. A product whose sums have n
+    terms is off by at most about n eps ||X||_F ||Y||_F, and an orthonormal n x n factor has
+    ||X||_F = sqrt(n). So the oracle's two products of d terms, and the library's four of dA or dB,
+    each leave U^dag rho U within about 2 d^1.5 eps ||rho||_F of exact, and a weight, the residual
+    and its norm's own rounding within (4d + 4) sqrt(d) eps ||rho||_F. The bound is twice that.
+    """
+    d = rho.dims.total
+    return 8 * (d + 1) * np.sqrt(d) * np.finfo(float).eps * np.linalg.norm(rho.mat)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**16))
+def test_product_basis_certificate_matches_kron_oracle(dA, dB, seed):
+    """The mode-product rotation agrees with the d x d Kronecker form (tests/oracles.py) within
+    product_basis_bound, weight by weight and in the residual: in the reduced eigenbases, which
+    local-both certifies, in a classical state's own product basis, and in Haar-random bases,
+    including ones that drop a column on each side."""
+    rng = np.random.default_rng(seed)
+    sample = random_classical((dA, dB), seed=seed)
+    for rho in (random_density((dA, dB), seed=seed), sample.state):
+        bases = [
+            (rho.reduced_eig["A"].vectors, rho.reduced_eig["B"].vectors),
+            (haar_unitary(dA, rng), haar_unitary(dB, rng)),
+            (haar_unitary(dA, rng)[:, : max(1, dA - 1)], haar_unitary(dB, rng)[:, : max(1, dB - 1)]),
+        ]
+        if rho is sample.state:
+            bases.append((sample.basis_a, sample.basis_b))
+        for basis_a, basis_b in bases:
+            weights, residual = _in_product_basis(rho.mat, basis_a, basis_b)
+            kron_weights, kron_residual = oracles.kron_product_basis(rho.mat, basis_a, basis_b)
+            assert weights.shape == kron_weights.shape
+            assert np.abs(weights - kron_weights).max() <= product_basis_bound(rho)
+            assert abs(residual - kron_residual) <= product_basis_bound(rho)
 
 
 class TestClassify:

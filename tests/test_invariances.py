@@ -2,7 +2,8 @@
 tensor products of classical states, classical states at a degeneracy, and
 classical states perturbed far below tol.deg or with eigenvalues chained just
 under it. They hold whatever the last bits of M and F are, so they keep
-guarding when a kernel change moves those bits."""
+guarding when a kernel change moves those bits. The last property pins M's
+scoring, bit for bit, to its per-entry reference on every family."""
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,7 +23,10 @@ from ncorr import (
     tensor_product,
     truncation_measure,
 )
-from ncorr.spectral import cluster_spectrum
+from ncorr.measures import truncation_measure_side
+from ncorr.spectral import cluster_spectrum, decompose
+
+import oracles
 
 TOL = 1e-9
 
@@ -143,22 +147,30 @@ def _check_classical(rho: DensityMatrix) -> None:
 _dims_2_4 = st.tuples(st.integers(2, 4), st.integers(2, 4))
 
 
-@given(st.builds(_degenerate, st.sampled_from(["product", "two-valued", "flat"]), _dims_2_4, _seeds))
+_degenerate_states = st.builds(_degenerate, st.sampled_from(["product", "two-valued", "flat"]), _dims_2_4, _seeds)
+_near_pair_states = st.builds(_near_pair, _dims_2_4, _seeds, st.sampled_from([2, 5, 10, 30]))
+_near_rows_states = st.builds(_near_rows, st.integers(2, 4), _seeds, st.sampled_from([1.5, 2, 5, 10, 30]))
+_tiny_weight_states = st.builds(
+    _tiny_weight, _dims_2_4, _seeds, st.integers(1, 14), st.sampled_from([2e-10, 5e-10, 1e-9, 1e-8])
+)
+
+
+@given(_degenerate_states)
 def test_degenerate_classical_states(rho):
     _check_classical(rho)
 
 
-@given(st.builds(_near_pair, _dims_2_4, _seeds, st.sampled_from([2, 5, 10, 30])))
+@given(_near_pair_states)
 def test_classical_states_with_a_near_degenerate_eigenvalue_pair(rho):
     _check_classical(rho)
 
 
-@given(st.builds(_near_rows, st.integers(2, 4), _seeds, st.sampled_from([1.5, 2, 5, 10, 30])))
+@given(_near_rows_states)
 def test_classical_states_with_near_degenerate_reduced_spectra(rho):
     _check_classical(rho)
 
 
-@given(st.builds(_tiny_weight, _dims_2_4, _seeds, st.integers(1, 14), st.sampled_from([2e-10, 5e-10, 1e-9, 1e-8])))
+@given(_tiny_weight_states)
 def test_classical_states_with_an_eigenvalue_next_to_the_null_space(rho):
     _check_classical(rho)
 
@@ -174,7 +186,12 @@ def _perturbed(dims: tuple[int, int], seed: int, size: float) -> DensityMatrix:
     return DensityMatrix(rho.mat + size * h / np.linalg.norm(h, 2), rho.dims)
 
 
-@given(st.builds(_perturbed, _dims.filter(lambda dims: dims[0] * dims[1] >= 2), _seeds, st.sampled_from([1e-13, 1e-12, 1e-11])))
+_perturbed_states = st.builds(
+    _perturbed, _dims.filter(lambda dims: dims[0] * dims[1] >= 2), _seeds, st.sampled_from([1e-13, 1e-12, 1e-11])
+)
+
+
+@given(_perturbed_states)
 def test_classical_states_perturbed_far_below_deg_keep_m_below_tol_measure(rho):
     assert truncation_measure(rho).value < DEFAULT_TOLERANCES.measure
 
@@ -192,7 +209,10 @@ def _chained(dims: tuple[int, int], seed: int, k: float) -> tuple[DensityMatrix,
 _dims_chain = st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)])
 
 
-@given(st.builds(_chained, _dims_chain, st.integers(0, 19), st.sampled_from([0.5, 0.9, 0.99])))
+_chained_states = st.builds(_chained, _dims_chain, st.integers(0, 19), st.sampled_from([0.5, 0.9, 0.99]))
+
+
+@given(_chained_states)
 def test_eigenvalues_chained_just_under_deg_form_one_cluster_and_keep_m_zero(chained):
     """Each gap is under tol.deg, the two together at least tol.deg, yet the three share one cluster,
     whose reduced spectra are multiples of its mean, so M stays at rounding level."""
@@ -200,3 +220,25 @@ def test_eigenvalues_chained_just_under_deg_form_one_cluster_and_keep_m_zero(cha
     (cluster,) = [c for c in cluster_spectrum(rho).clusters if abs(c.eta - middle) <= DEFAULT_TOLERANCES.deg]
     assert cluster.multiplicity == 3
     assert truncation_measure(rho).value < DEFAULT_TOLERANCES.measure
+
+
+_families = st.one_of(
+    _states,
+    _degenerate_states,
+    _near_pair_states,
+    _near_rows_states,
+    _tiny_weight_states,
+    _perturbed_states,
+    _chained_states.map(lambda chained: chained[0]),
+)
+
+
+@given(_families)
+def test_scores_equal_the_per_entry_walk(rho):
+    """Every family above scores as the per-entry walk through nearest_integer_multiple and
+    surprisal_term (tests/oracles.py): both sides' totals and contributions by float.hex."""
+    components = decompose(rho)
+    for side in "AB":
+        total, contribs = truncation_measure_side(components, side)
+        want_total, want_contribs = oracles.per_entry_measure_side(components, side)
+        assert [total.hex(), *map(float.hex, contribs)] == [want_total.hex(), *map(float.hex, want_contribs)]

@@ -49,7 +49,7 @@ from ncorr.io import (
     _BLOCK,
     _matrix_from_rows,
     _read_blocks,
-    _state_text,
+    _state_chunks,
     dumps,
     format_float,
     matrix_as_pairs,
@@ -102,7 +102,7 @@ class TestFormatFloat:
         parts = data.draw(st.lists(doubles, min_size=2 * d * d, max_size=2 * d * d))
         mat = np.array(parts).view(np.complex128).reshape(d, d)
         dims = BipartiteDims(dA, dB)
-        text = _state_text(mat, dims)
+        text = "".join(_state_chunks(mat, dims))
         assert text == per_entry_state_file_text(mat, dims)
         rows = json.loads(text)["matrix"]
         per_entry = np.array([[complex(re, im) for re, im in row] for row in rows])
@@ -216,11 +216,28 @@ _BOOL_DIMS = (
 )
 
 
-# Above 40 pairs, the 81 pairs of a 3x3 file are read row by row, as the
-# 8281 pairs of a 7x13 file are above 4096.
+# Above 40 pairs, the 81 pairs of a 3x3 file are read in blocks of two rows
+# and a last one of one row, as the 8281 pairs of a 7x13 file are above 4096.
 _SMALL_BLOCK = 40
-_MUTATIONS = ("none", "number", "drop_pair", "trailing_key", "trailing_text", "matrix_first", "reindent")
-_LITERALS = ("true", "null", '"1"', "NaN", "-0", "9" * 400)
+_MUTATIONS = (
+    "none",
+    "number",
+    "drop_pair",
+    "trailing_key",
+    "trailing_text",
+    "matrix_first",
+    "reindent",
+    "tab",
+    "crlf",
+    "move_pair",
+    "outside",
+    "upper_exponent",
+)
+# Number forms a C-style parser accepts but JSON rejects, then JSON numbers: -0 JSON reads as the integer 0,
+# 1e999 as inf and 1e-400 as 0.0, and 2^53 + 1 rounds to a double.
+_REJECTED_NUMBERS = ("1.", ".5", "+1", "01", "-01")
+_JSON_NUMBERS = ("-0", "1E5", "1e5", "1e999", "1e-400", "9007199254740993")
+_LITERALS = ("true", "null", '"1"', "NaN", "9" * 400, *_REJECTED_NUMBERS, *_JSON_NUMBERS)
 
 # Texts json cannot turn into Python objects: an integer literal past
 # Python's int string-conversion limit (4300 digits), in the matrix or in
@@ -331,7 +348,7 @@ class TestStateFiles:
     def test_one_pass_io_equals_per_entry_reference(self):
         """state_file_text and parse_state_text give the text and the bits of
         the per-entry serializer and parser in tests/oracles.py, on files read
-        by one json.loads and on files read row by row."""
+        by one json.loads and on files read in blocks."""
         checked = multi_block = 0
         for rho in _cross_check_states():
             text = state_file_text(rho)
@@ -351,12 +368,30 @@ class TestStateFiles:
     @example("number", 8, 8, _LITERALS[1])
     @example("number", 8, 3, _LITERALS[2])
     @example("number", 8, 5, _LITERALS[3])
-    @example("number", 8, 2, _LITERALS[4])
-    @example("number", 8, 7, _LITERALS[5])
+    @example("number", 8, 7, _LITERALS[4])
+    @example("number", 1, 0, "1.")
+    @example("number", 2, 1, ".5")
+    @example("number", 3, 2, "+1")
+    @example("number", 4, 3, "01")
+    @example("number", 5, 4, "-01")
+    @example("number", 8, 2, "-0")
+    @example("number", 6, 5, "1E5")
+    @example("number", 7, 6, "1e5")
+    @example("number", 0, 7, "1e999")
+    @example("number", 1, 8, "1e-400")
+    @example("number", 2, 2, "9007199254740993")
+    @example("tab", 3, 4, "")
+    @example("crlf", 4, 0, "")
+    @example("move_pair", 2, 5, "")
+    @example("outside", 5, 6, "")
+    @example("outside", 5, 7, "")
+    @example("upper_exponent", 0, 0, "")
     def test_mutated_multi_block_file_parses_as_per_entry_reference(self, kind, i, j, literal):
-        """A file read row by row, changed in one place, gives the bits or the
+        """A file read in blocks, changed in one place, gives the bits or the
         message of the per-entry parser, whichever path it takes. A threshold
-        of 40 pairs keeps each example small."""
+        of 40 pairs keeps each example small. The block reader itself takes
+        exactly the texts in the writer's layout whose numbers are JSON
+        numbers, and reads each as json reads it in the whole text."""
         text = _mutate(_multi_block_text(), kind, 9 * i + j, literal)
         try:
             want = _bits(per_entry_parse_state_text(text).mat)
@@ -365,12 +400,30 @@ class TestStateFiles:
         except OverflowError:
             want = f"matrix entry ({i}, {j}) is an integer too large for a double"
         with mock.patch.object(ncorr.io, "_BLOCK", _SMALL_BLOCK):
-            assert kind != "none" or _read_blocks(text) is not None
+            blocks = _read_blocks(text)
             try:
                 got = _bits(parse_state_text(text).mat)
             except MalformedInputError as e:
                 got = str(e)
         assert got == want
+        in_layout = text == _multi_block_text() or kind in ("upper_exponent", "none")
+        assert (blocks is not None) == (in_layout or kind == "number" and literal in _JSON_NUMBERS)
+        if blocks is not None:
+            entries = [[complex(*pair) for pair in row] for row in json.loads(text)["matrix"]]
+            assert _bits(blocks[0]) == _bits(np.array(entries))
+
+    def test_small_threshold_splits_the_test_file_into_blocks(self):
+        """Four blocks of two rows and a last one of one row, each one json.loads."""
+        loads, lengths = json.loads, []
+
+        def counted(s):
+            values = loads(s)
+            lengths.append(len(values))
+            return values
+
+        with mock.patch.object(ncorr.io, "_BLOCK", _SMALL_BLOCK), mock.patch.object(ncorr.io.json, "loads", counted):
+            assert _read_blocks(_multi_block_text()) is not None
+        assert lengths == [36, 36, 36, 36, 18]
 
     def test_integer_literals_parse_as_the_per_entry_parser_reads_them(self):
         """JSON integers, exact or rounded to a double, convert as complex() did."""
@@ -405,7 +458,7 @@ class TestStateFiles:
 
     @pytest.mark.parametrize("literal", _UNDECODABLE_ROWS)
     def test_undecodable_row_of_a_multi_block_file_rejected(self, literal):
-        """The row reader hands a row json cannot decode to the whole-text path."""
+        """The block reader hands a block json cannot decode to the whole-text path."""
         text = _mutate(_multi_block_text(), "number", 45, literal)
         with mock.patch.object(ncorr.io, "_BLOCK", _SMALL_BLOCK):
             assert _read_blocks(text) is None
@@ -452,7 +505,7 @@ def _cross_check_states():
             if d > 1:
                 yield random_density((dA, dB), rank=1 + seed % (d - 1), seed=seed)
     yield random_density((12, 12), seed=5)
-    # 91 rows of a rectangular shape, read row by row
+    # 91 rows of a rectangular shape, read in blocks
     yield random_classical((7, 13), seed=2).state
 
 
@@ -469,8 +522,12 @@ def _pair_lines() -> list:
 def _mutate(text: str, kind: str, k: int, literal: str) -> str:
     """text changed in one way: the k-th pair's real part replaced by literal,
     the k-th pair dropped, a key added after the matrix, literal added after
-    the text, dims moved after the matrix, or the text re-indented by a width
-    that k picks."""
+    the text, dims moved after the matrix, the text re-indented by a width
+    that k picks, a tab for the k-th pair's space, a CR before its line, the
+    last pair of its row (of the eighth, in the ninth row) moved to the start
+    of the next row, its real (k even) or imaginary (k odd) part moved out of
+    its brackets, or every exponent written with a capital E. The last five
+    keep the count of numbers."""
     line = _pair_lines()[k]
     start, end = line.span()
     if kind == "number":
@@ -485,6 +542,20 @@ def _mutate(text: str, kind: str, k: int, literal: str) -> str:
         return text.replace('  "dims": [3, 3],\n', "", 1)[:-3] + ',\n  "dims": [3, 3]\n}\n'
     if kind == "reindent":
         return re.sub(r"\n( +)", lambda m: "\n" + " " * (len(m[1]) // 2 * (k % 4)), text)
+    if kind == "tab":
+        return text[: line.start(2) - 1] + "\t" + text[line.start(2) :]
+    if kind == "crlf":
+        return text[: start - 1] + "\r" + text[start - 1 :]
+    if kind == "move_pair":
+        row = min(k // 9, 7)
+        last, first = _pair_lines()[9 * row + 8], _pair_lines()[9 * row + 9]
+        return text[: last.start() - 2] + text[last.end() : first.start()] + last[0] + ",\n" + text[first.start() :]
+    if kind == "outside" and k % 2 == 0:
+        return text[: line.start(1) - 1] + line[1] + "[" + text[line.end(1) :]
+    if kind == "outside":
+        return text[: line.start(2)] + "]" + line[2] + text[line.end(2) + 1 :]
+    if kind == "upper_exponent":
+        return text.replace("e-", "E-")
     return text
 
 

@@ -1,4 +1,5 @@
 """Truncation measure, partition measure, and the scalar helpers under them."""
+import ast
 import json
 import math
 import sys
@@ -14,6 +15,7 @@ from numpy.testing import assert_allclose
 
 import oracles
 from ncorr import measures
+from ncorr.spectral import TruncatedComponent
 from ncorr import (
     BipartiteDims,
     CapabilityError,
@@ -154,11 +156,81 @@ class TestTolerances:
         assert Tolerances(deg=0.0, tie=0.0).as_dict()["deg"] == 0.0
 
 
+def _scores(score, components, tol):
+    """Both sides' total and contributions by float.hex, or the error that score raised."""
+    try:
+        return [[x.hex() for x in (total, *contribs)] for total, contribs in (score(components, side, tol) for side in "AB")]
+    except (DomainError, ValueError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def _per_entry(components, side, tol):
+    return oracles.per_entry_measure_side(components, side, tol.tie)
+
+
 class TestTruncationMeasure:
     def test_side_argument_checked(self):
         comps = decompose(sigma())
         with pytest.raises(DomainError, match="side must be"):
             truncation_measure_side(comps, "C")
+
+    def test_scores_equal_the_per_entry_walk_on_the_benchmark_inputs(self):
+        """Both sides' totals and contributions are, by float.hex, those of the
+        per-entry walk through nearest_integer_multiple and surprisal_term
+        (tests/oracles.py) on every state perfbench/reference.json records."""
+        refs = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())["inputs"]
+        scored = 0
+        for key in refs:
+            name, *pairs = key.split(" ")
+            rho = build(StateSpec(name, {k: ast.literal_eval(v) for k, v in (p.split("=", 1) for p in pairs)}))
+            got = _scores(truncation_measure_side, decompose(rho), Tolerances())
+            assert isinstance(got, list) and got == _scores(_per_entry, decompose(rho), Tolerances()), key
+            scored += 1
+        assert scored >= 462
+
+    @given(
+        st.floats(5e-324, 1e300) | st.sampled_from([1e308, 5e-324, 0.1]),
+        st.integers(1, 4),
+        st.lists(st.tuples(st.integers(0, 8), st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, 0.3])), min_size=1, max_size=6),
+        st.sampled_from([1e-9, 0.0, 1e-3]),
+    )
+    def test_scores_equal_the_per_entry_walk_near_ties(self, eta, multiplicity, halves, tie):
+        """Entries k eta / 2, nudged, so the half-way and tie branches are taken, and clipped to
+        [5e-324, quota]: the same bits or the same error, an infinite quota's or a log2 of an
+        underflowed ratio's included."""
+        quota = eta * multiplicity
+        spectrum = [min(quota, max(5e-324, (k / 2 + nudge) * eta)) for k, nudge in halves]
+        comp = TruncatedComponent(eta, multiplicity, np.array(spectrum), np.array(spectrum[::-1]))
+        tol = Tolerances(tie=tie)
+        assert _scores(truncation_measure_side, [comp], tol) == _scores(_per_entry, [comp], tol)
+
+    @pytest.mark.parametrize(
+        "eta, multiplicity, spectrum",
+        [
+            (0.25, 2, [0.25, 0.0]),
+            (0.25, 2, [0.3, -0.1]),
+            (0.25, 2, [0.5, 0.25, 0.5000000006]),
+            (0.25, 2, [0.25, float("nan"), -1.0]),
+            (0.25, 2, [float("nan"), 0.0]),
+            (0.25, 2, [0.25, float("inf")]),
+            (0.25, 0, [0.25]),
+            (0.0, 3, [0.25]),
+            (-0.25, -2, [0.25]),
+            (float("nan"), 1, [0.25]),
+            (float("inf"), 1, [0.25]),
+            (1e308, 2, [1e308]),
+        ],
+    )
+    def test_out_of_domain_component_raises_as_the_per_entry_walk(self, eta, multiplicity, spectrum):
+        """An entry <= 0, above its quota or NaN, or an eta or quota out of domain, raises the
+        DomainError the per-entry walk raises, message included, after a valid component."""
+        good = TruncatedComponent(0.5, 1, np.array([0.5]), np.array([0.25, 0.25]))
+        bad = TruncatedComponent(eta, multiplicity, np.array(spectrum), np.array(spectrum))
+        with pytest.raises(DomainError) as want:
+            oracles.per_entry_measure_side([good, bad], "B")
+        with pytest.raises(DomainError) as got:
+            truncation_measure_side([good, bad], "B")
+        assert str(got.value) == str(want.value)
 
     def test_per_component_sums(self):
         report = truncation_measure(varsigma())
